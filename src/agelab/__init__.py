@@ -50,14 +50,12 @@ from .experiments import (
     query_prob_sweep,
     threshold_sweep,
 )
-from .learning import LearningParams, QTable, TrainReport, extract_policy, q_update, risk_adjusted_cost, train
+from .learning import LearningParams, QTable, TrainReport, train
 from .params import (
     QuerySpec,
     RiskSpec,
     SourceSpec,
     SystemParams,
-    is_risky_aoi,
-    is_risky_aoii,
     step_cost,
 )
 from .strategy import AoiiThresholdPolicy, GreedyPolicy, RandomPolicy, ThresholdPolicy

@@ -291,9 +291,7 @@ class AnalyticResult:
     """Everything the closed forms say about one threshold policy."""
 
     threshold: int
-    cost: float
-    period_length: float
-    attempts: float
+    breakdown: CostBreakdown
     freq: dict[int, float]
     risky_freq: float
 
@@ -314,14 +312,7 @@ def evaluate_threshold(
     if q is not None:
         freq = {k: q * f for k, f in freq.items()}
     risky = risky_frequency(n, zeta, params, tol=tol, q=q)
-    return AnalyticResult(
-        threshold=n,
-        cost=breakdown.total,
-        period_length=breakdown.period_length,
-        attempts=breakdown.attempts,
-        freq=freq,
-        risky_freq=risky,
-    )
+    return AnalyticResult(threshold=n, breakdown=breakdown, freq=freq, risky_freq=risky)
 
 
 def _cost_function(metric: str, params: SystemParams, q: float | None, tol: Tolerance):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +26,13 @@ from .analytic import (
     optimal_threshold,
     risk_constrained_threshold,
     risky_frequency,
-    threshold_cost_qaoi,
 )
 from .experiments import (
-    ComparisonResult,
     EnvSpec,
     ExperimentConfig,
     ResultRow,
+    _baseline_threshold,
+    _threshold_policy,
     comparison_rows,
     emit_plot_data,
     emit_results,
@@ -43,11 +43,10 @@ from .experiments import (
     sweep_rows,
     threshold_sweep,
 )
-from .learning import LearningParams, train
+from .learning import A_MAX_LIMIT, LearningParams, train
 from .params import QuerySpec, RiskSpec, SourceSpec, SystemParams
 
 __all__ = [
-    "CliConfig",
     "UsageError",
     "parse_config_text",
     "format_config_text",
@@ -59,56 +58,35 @@ class UsageError(Exception):
     """Bad flags, bad config keys or invalid value combinations."""
 
 
-# every key a configuration file may set; flags of the same name win
-CONFIG_SCHEMA: dict[str, type] = {
-    "p": float,
-    "lambda": float,
-    "nu": float,
-    "alpha": float,
-    "beta": float,
-    "q": float,
-    "p_r": float,
-    "num_states": int,
-    "zeta": int,
-    "zeta_aoii": int,
-    "rho": float,
-    "gamma": float,
-    "epsilon0": float,
-    "delta": float,
-    "epsilon_min": float,
-    "learn_steps": int,
-    "test_steps": int,
-    "runs": int,
-    "a_max": int,
-    "seed": int,
-    "threshold": int,
-    "metric": str,
-}
-
-_DEFAULTS = {
-    "p": 0.9,
-    "lambda": 0.5,
-    "nu": 1.0,
-    "alpha": 1.0,
-    "beta": 3.0,
-    "q": 0.2,
-    "p_r": 0.5,
-    "num_states": 10,
-    "zeta": 5,
-    "zeta_aoii": 3,
-    "rho": 2.0,
-    "gamma": 0.7,
-    "epsilon0": 0.9,
-    "delta": 0.999,
-    "epsilon_min": 0.0,
-    "learn_steps": 100_000,
-    "test_steps": 10_000,
-    "runs": 100,
-    "a_max": 128,
-    "seed": 0,
-    "threshold": None,
-    "metric": "aoi",
-}
+# Every key a configuration file may set, with its type and help.  Each key
+# is also a flag, --key with dashes for underscores, and a flag wins over
+# the file.  A key set by neither is not passed on, so the dataclass
+# default applies.
+CONFIG_KEYS: tuple[tuple[str, type, str], ...] = (
+    ("metric", str, "age metric: aoi, qaoi or aoii"),
+    ("p", float, "channel success probability"),
+    ("lambda", float, "arrival probability"),
+    ("nu", float, "energy per attempt"),
+    ("alpha", float, "age cost weight"),
+    ("beta", float, "energy cost weight"),
+    ("q", float, "query probability (qaoi)"),
+    ("p_r", float, "source stay probability (aoii)"),
+    ("num_states", int, "source alphabet size (aoii)"),
+    ("zeta", int, "risky age level (aoi/qaoi)"),
+    ("zeta_aoii", int, "risky mismatch level"),
+    ("rho", float, "risky-cost multiplier for learning"),
+    ("gamma", float, "discount factor"),
+    ("epsilon0", float, "initial exploration rate"),
+    ("delta", float, "exploration decay per step"),
+    ("epsilon_min", float, "exploration floor"),
+    ("learn_steps", int, "training steps"),
+    ("test_steps", int, "evaluation steps per run"),
+    ("runs", int, "evaluation runs"),
+    ("a_max", int, f"state clamp for learning (at most {A_MAX_LIMIT})"),
+    ("seed", int, "base seed for all streams"),
+    ("threshold", int, "send threshold n (or mismatch theta)"),
+)
+CONFIG_SCHEMA: dict[str, type] = {key: kind for key, kind, _ in CONFIG_KEYS}
 
 
 def parse_config_text(text: str) -> dict:
@@ -147,92 +125,48 @@ def format_config_text(cfg: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Effective configuration after merging flags over a config file."""
-
-    metric: str
-    params: SystemParams
-    query: QuerySpec
-    source: SourceSpec
-    risk: RiskSpec
-    learning: LearningParams
-    seed: int
-    learn_steps: int
-    test_steps: int
-    runs: int
-    threshold: int | None
-
-    def env_spec(self) -> EnvSpec:
-        return EnvSpec(
-            metric=self.metric,
-            params=self.params,
-            risk=self.risk,
-            query=self.query if self.metric == "qaoi" else None,
-            source=self.source if self.metric == "aoii" else None,
-        )
-
-    def experiment(self) -> ExperimentConfig:
-        return ExperimentConfig(
-            env=self.env_spec(),
-            learning=self.learning,
-            threshold=self.threshold,
-            test_steps=self.test_steps,
-            runs=self.runs,
-            base_seed=self.seed,
-        )
-
-
-def resolve_config(args: argparse.Namespace) -> CliConfig:
-    file_cfg: dict = {}
-    if getattr(args, "config", None):
-        file_cfg = parse_config_text(Path(args.config).read_text())
-
-    def pick(key: str):
-        dest = "lam" if key == "lambda" else key
-        flag = getattr(args, dest, None)
+def _given_keys(args: argparse.Namespace) -> dict:
+    """The config keys set by a flag or by the --config file."""
+    keys = parse_config_text(Path(args.config).read_text()) if args.config else {}
+    for key in CONFIG_SCHEMA:
+        flag = getattr(args, key)
         if flag is not None:
-            return flag
-        if key in file_cfg:
-            return file_cfg[key]
-        return _DEFAULTS[key]
+            keys[key] = flag
+    return keys
 
-    metric = pick("metric")
-    if metric not in ("aoi", "qaoi", "aoii"):
-        raise UsageError(f"metric must be aoi, qaoi or aoii, got {metric!r}")
-    params = SystemParams(
-        p=pick("p"), lam=pick("lambda"), nu=pick("nu"), alpha=pick("alpha"), beta=pick("beta")
+
+def _experiment_config(args: argparse.Namespace, keys: dict) -> ExperimentConfig:
+    """Fill the experiment dataclasses from the given keys; the rest keep their defaults."""
+
+    def given(*names: str, **renamed: str) -> dict:
+        fields = {name: name for name in names} | renamed
+        return {field: keys[key] for field, key in fields.items() if key in keys}
+
+    env = EnvSpec(
+        **given("metric"),
+        params=SystemParams(**given("p", "nu", "alpha", "beta", lam="lambda")),
+        risk=RiskSpec(**given("zeta", "zeta_aoii", "rho")),
+        query=QuerySpec(**given("q")),
+        source=SourceSpec(**given("num_states", "p_r")),
     )
-    risk = RiskSpec(zeta=pick("zeta"), zeta_aoii=pick("zeta_aoii"), rho=pick("rho"))
     learning = LearningParams(
-        steps=pick("learn_steps"),
-        gamma=pick("gamma"),
-        epsilon0=pick("epsilon0"),
-        delta=pick("delta"),
-        epsilon_min=pick("epsilon_min"),
-        rho=risk.rho,
-        a_max=pick("a_max"),
-        strict_query_cost=bool(getattr(args, "strict_query_cost", False)),
+        **given("gamma", "epsilon0", "delta", "epsilon_min", "rho", "a_max", steps="learn_steps"),
+        strict_query_cost=args.strict_query_cost,
     )
-    threshold = pick("threshold")
-    theta = getattr(args, "theta", None)
-    if theta is not None:
-        if metric != "aoii":
+    if args.theta is not None:
+        if env.metric != "aoii":
             raise UsageError("--theta only applies to the aoii metric; use --threshold")
-        threshold = theta
-    return CliConfig(
-        metric=metric,
-        params=params,
-        query=QuerySpec(q=pick("q")),
-        source=SourceSpec(num_states=pick("num_states"), p_r=pick("p_r")),
-        risk=risk,
+        keys["threshold"] = args.theta
+    return ExperimentConfig(
+        env=env,
         learning=learning,
-        seed=pick("seed"),
-        learn_steps=pick("learn_steps"),
-        test_steps=pick("test_steps"),
-        runs=pick("runs"),
-        threshold=threshold,
+        **given("threshold", "test_steps", "runs", base_seed="seed"),
     )
+
+
+def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The run's configuration: flags over the config file over the defaults."""
+    return _experiment_config(args, _given_keys(args))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -244,28 +178,8 @@ def _common_flags() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     group = common.add_argument_group("model and run configuration")
     group.add_argument("--config", help="key = value configuration file")
-    group.add_argument("--metric", choices=["aoi", "qaoi", "aoii"])
-    group.add_argument("--p", type=float, help="channel success probability")
-    group.add_argument("--lambda", dest="lam", type=float, help="arrival probability")
-    group.add_argument("--nu", type=float, help="energy per attempt")
-    group.add_argument("--alpha", type=float, help="age cost weight")
-    group.add_argument("--beta", type=float, help="energy cost weight")
-    group.add_argument("--q", type=float, help="query probability (qaoi)")
-    group.add_argument("--p-r", dest="p_r", type=float, help="source stay probability (aoii)")
-    group.add_argument("--num-states", dest="num_states", type=int, help="source alphabet size")
-    group.add_argument("--zeta", type=int, help="risky age level (aoi/qaoi)")
-    group.add_argument("--zeta-aoii", dest="zeta_aoii", type=int, help="risky mismatch level")
-    group.add_argument("--rho", type=float, help="risky-cost multiplier for learning")
-    group.add_argument("--gamma", type=float, help="discount factor")
-    group.add_argument("--epsilon0", type=float, help="initial exploration rate")
-    group.add_argument("--delta", type=float, help="exploration decay per step")
-    group.add_argument("--epsilon-min", dest="epsilon_min", type=float, help="exploration floor")
-    group.add_argument("--learn-steps", dest="learn_steps", type=int)
-    group.add_argument("--test-steps", dest="test_steps", type=int)
-    group.add_argument("--runs", type=int)
-    group.add_argument("--a-max", dest="a_max", type=int, help="state clamp for learning")
-    group.add_argument("--seed", type=int)
-    group.add_argument("--threshold", type=int, help="send threshold n (or mismatch theta)")
+    for key, kind, text in CONFIG_KEYS:
+        group.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
     group.add_argument("--theta", type=int, help="mismatch send threshold (aoii alias)")
     group.add_argument(
         "--strict-query-cost",
@@ -321,123 +235,82 @@ def build_parser() -> _Parser:
 
 
 def cmd_analytic(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    if cfg.metric == "aoii":
+    config = resolve_config(args)
+    spec = config.env
+    if spec.metric == "aoii":
         raise UsageError("no closed form for the mismatch metric; use simulate instead")
-    if cfg.threshold is None:
+    if config.threshold is None:
         raise UsageError("analytic needs --threshold")
-    q = cfg.query.q if cfg.metric == "qaoi" else None
-    if cfg.risk.zeta <= cfg.threshold:
-        raise AnalyticInapplicableError(
-            f"risky frequency in closed form needs zeta > threshold "
-            f"(zeta={cfg.risk.zeta}, threshold={cfg.threshold}); use simulate instead"
-        )
-    k_max = getattr(args, "k_max", None)
+    q = spec.query.q if spec.metric == "qaoi" else None
     result = evaluate_threshold(
-        cfg.threshold, cfg.params, cfg.risk.zeta, q=q, k_max=k_max
+        config.threshold, spec.params, spec.risk.zeta, q=q, k_max=args.k_max
     )
-    breakdown = cost_breakdown(cfg.threshold, cfg.params, q=q)
-    label = f"{cfg.metric} threshold {cfg.threshold}"
+    breakdown = result.breakdown
+    label = f"{spec.metric} threshold {config.threshold}"
     if q is not None:
         label += f", q={q:g}"
     print(label)
-    print(f"average cost        {result.cost!r}")
+    print(f"average cost        {breakdown.total!r}")
     print(f"  age part          {breakdown.age_cost!r}")
     print(f"  energy part       {breakdown.energy_cost!r}")
-    print(f"period length       {result.period_length!r}")
-    print(f"attempts per period {result.attempts!r}")
+    print(f"period length       {breakdown.period_length!r}")
+    print(f"attempts per period {breakdown.attempts!r}")
     print("age frequencies:")
     for k in sorted(result.freq):
         print(f"  {k:3d}  {result.freq[k]:.9f}")
-    print(f"risky frequency (age >= {cfg.risk.zeta}): {result.risky_freq!r}")
+    print(f"risky frequency (age >= {spec.risk.zeta}): {result.risky_freq!r}")
     return 0
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    if cfg.metric == "aoii":
+    spec = resolve_config(args).env
+    if spec.metric == "aoii":
         raise UsageError("no closed form for the mismatch metric; sweep with simulate instead")
-    q = cfg.query.q if cfg.metric == "qaoi" else None
-    budget = getattr(args, "risk_budget", None)
-    n_max = getattr(args, "n_max", 64)
+    q = spec.query.q if spec.metric == "qaoi" else None
+    budget = args.risk_budget
     if budget is None:
-        best = optimal_threshold(cfg.metric, cfg.params, n_max=n_max, q=q)
+        best = optimal_threshold(spec.metric, spec.params, n_max=args.n_max, q=q)
         print(f"optimal threshold: {best}")
     else:
         best = risk_constrained_threshold(
-            budget, cfg.risk.zeta, cfg.params, n_max=n_max, q=q
+            budget, spec.risk.zeta, spec.params, n_max=args.n_max, q=q
         )
         print(f"optimal threshold under risk budget {budget:g}: {best}")
-    cost = (
-        threshold_cost_qaoi(best, cfg.params, q)
-        if q is not None
-        else cost_breakdown(best, cfg.params).total
-    )
-    print(f"average cost     {cost!r}")
+    print(f"average cost     {cost_breakdown(best, spec.params, q=q).total!r}")
     try:
-        risk = risky_frequency(best, cfg.risk.zeta, cfg.params, q=q)
+        risk = risky_frequency(best, spec.risk.zeta, spec.params, q=q)
         print(f"risky frequency  {risk!r}")
     except AnalyticInapplicableError:
         pass
     return 0
 
 
-def _default_threshold(cfg: CliConfig) -> int:
-    if cfg.threshold is not None:
-        return cfg.threshold
-    if cfg.metric == "aoi":
-        return optimal_threshold("aoi", cfg.params)
-    if cfg.metric == "qaoi":
-        return optimal_threshold("qaoi", cfg.params, q=cfg.query.q)
-    raise UsageError("simulate needs --threshold (or --theta) for the aoii metric")
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    threshold = _default_threshold(cfg)
-    spec = cfg.env_spec()
-    if cfg.metric == "aoii":
-        from .strategy import AoiiThresholdPolicy
-
-        policy = AoiiThresholdPolicy(threshold)
-        param = f"theta={threshold}"
-    else:
-        from .strategy import ThresholdPolicy
-
-        policy = ThresholdPolicy(threshold)
-        param = f"n={threshold}"
-    stats = evaluate(policy, spec, cfg.test_steps, cfg.runs, cfg.seed)
-    row = ResultRow(
-        experiment_id="simulate",
-        metric=cfg.metric,
-        strategy="threshold",
-        param=param,
-        learn_steps=None,
-        test_steps=cfg.test_steps,
-        runs=cfg.runs,
-        mean_cost=stats.mean_cost,
-        std_cost=stats.std_cost,
-        mean_risky_freq=stats.mean_risky_freq,
-        std_risky_freq=stats.std_risky_freq,
-    )
+    config = resolve_config(args)
+    spec = config.env
+    if spec.metric == "aoii" and config.threshold is None:
+        raise UsageError("simulate needs --threshold (or --theta) for the aoii metric")
+    threshold = _baseline_threshold(spec, config)
+    policy = _threshold_policy(spec.metric, threshold)
+    stats = evaluate(policy, spec, config.test_steps, config.runs, config.base_seed)
+    param = f"theta={threshold}" if spec.metric == "aoii" else f"n={threshold}"
+    row = ResultRow.from_stats("simulate", spec.metric, "threshold", param, None, stats, config)
     print(format_summary([row]))
     print(f"mean send rate {stats.mean_send_rate:.4f}")
-    out = getattr(args, "out", None)
-    if out:
-        emit_results([row], out)
-        print(f"wrote {out}")
+    if args.out:
+        emit_results([row], args.out)
+        print(f"wrote {args.out}")
     return 0
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    spec = cfg.env_spec()
-    env_seed, explore_seed = np.random.SeedSequence(cfg.seed).spawn(2)
-    params = replace(cfg.learning, steps=cfg.learn_steps)
-    report = train(spec.build(env_seed), params, explore_seed)
-    out = getattr(args, "out", None) or f"qtable_{cfg.metric}.csv"
+    config = resolve_config(args)
+    metric = config.env.metric
+    env_seed, explore_seed = np.random.SeedSequence(config.base_seed).spawn(2)
+    report = train(config.env.build(env_seed), config.learning, explore_seed)
+    out = args.out or f"qtable_{metric}.csv"
     report.table.dump_csv(out)
-    print(f"trained {cfg.metric} for {report.steps} steps (rho={params.rho:g})")
+    print(f"trained {metric} for {report.steps} steps (rho={config.learning.rho:g})")
     print(f"final epsilon      {report.final_epsilon!r}")
     print(f"risky transitions  {report.risky_transitions}")
     print(f"table entries      {report.table.values.size}")
@@ -445,9 +318,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+# A preset runs with the resolved config, the learn_steps key if one was
+# given (None otherwise) and the output directory, and returns its rows.
+
+
 def _sweep_figure(figure: str, metric: str, values: list[int]):
-    def run(args: argparse.Namespace, cfg: CliConfig, out_dir: Path) -> list[ResultRow]:
-        config = cfg.experiment()
+    def run(config: ExperimentConfig, learn_steps: int | None, out_dir: Path) -> list[ResultRow]:
         sweep = threshold_sweep(metric, values, config)
         rows = sweep_rows(figure, metric, sweep, config)
         emit_results(rows, out_dir / f"{figure}.csv")
@@ -477,11 +353,12 @@ def _sweep_figure(figure: str, metric: str, values: list[int]):
 
 
 def _comparison_figure(figure: str, metric: str, steps_list: list[int]):
-    def run(args: argparse.Namespace, cfg: CliConfig, out_dir: Path) -> list[ResultRow]:
-        config = cfg.experiment()
-        chosen = [cfg.learn_steps] if args.learn_steps is not None else steps_list
+    """A learner comparison at each of the preset's training lengths, or
+    only at learn_steps when that key is given."""
+
+    def run(config: ExperimentConfig, learn_steps: int | None, out_dir: Path) -> list[ResultRow]:
         rows: list[ResultRow] = []
-        for steps in chosen:
+        for steps in steps_list if learn_steps is None else [learn_steps]:
             comparison = learning_comparison(metric, steps, config)
             block = comparison_rows(figure, comparison, config)
             rows.extend(block)
@@ -496,27 +373,15 @@ def _comparison_figure(figure: str, metric: str, steps_list: list[int]):
 
 
 def _query_sweep_figure(figure: str, q_values: list[float]):
-    def run(args: argparse.Namespace, cfg: CliConfig, out_dir: Path) -> list[ResultRow]:
-        config = cfg.experiment()
+    def run(config: ExperimentConfig, learn_steps: int | None, out_dir: Path) -> list[ResultRow]:
         sweep = query_prob_sweep(q_values, config)
-        rows: list[ResultRow] = []
-        for point in sweep.points:
-            for name, stats in sorted(point.comparison.items()):
-                rows.append(
-                    ResultRow(
-                        experiment_id=figure,
-                        metric="qaoi",
-                        strategy=name,
-                        param=f"q={point.q:g}",
-                        learn_steps=point.comparison.learn_steps,
-                        test_steps=config.test_steps,
-                        runs=config.runs,
-                        mean_cost=stats.mean_cost,
-                        std_cost=stats.std_cost,
-                        mean_risky_freq=stats.mean_risky_freq,
-                        std_risky_freq=stats.std_risky_freq,
-                    )
-                )
+        # one block per query probability, labelled by q; every row carries
+        # the training length, baselines included
+        rows = [
+            replace(row, param=f"q={point.q:g}", learn_steps=point.comparison.learn_steps)
+            for point in sweep.points
+            for row in comparison_rows(figure, point.comparison, config)
+        ]
         emit_results(rows, out_dir / f"{figure}.csv")
         for name in sorted(sweep.points[0].comparison):
             triples = [
@@ -551,10 +416,11 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         raise UsageError(
             f"unknown figure {args.figure!r}; choose from " + ", ".join(sorted(FIGURES))
         )
-    cfg = resolve_config(args)
+    keys = _given_keys(args)
+    config = _experiment_config(args, keys)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = FIGURES[args.figure](args, cfg, out_dir)
+    rows = FIGURES[args.figure](config, keys.get("learn_steps"), out_dir)
     print(format_summary(rows))
     print(f"wrote {out_dir / (args.figure + '.csv')}")
     return 0

@@ -10,7 +10,7 @@ changing the policy never perturbs the events themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Final, Iterator, NamedTuple, Protocol
+from typing import Final, NamedTuple, Protocol
 
 import numpy as np
 
@@ -170,7 +170,6 @@ class AoiEnv:
         self.zeta = zeta
         self.query = query
         self.metric = "aoi" if query is None else "qaoi"
-        self._seed = seed
         self._streams = EventStreams(seed)
         self.state: AoIState = INITIAL_AOI
         self.steps_taken = 0
@@ -296,9 +295,3 @@ def run_policy(env: AoiEnv | AoiiEnv, policy: Policy, horizon: int) -> Trajector
         send_count=send_count,
         age_histogram=hist,
     )
-
-
-def iterate_outcomes(env: AoiEnv | AoiiEnv, policy: Policy, horizon: int) -> Iterator[StepOutcome]:
-    """Yield the raw step outcomes of a rollout, for callers that need them all."""
-    for _ in range(horizon):
-        yield env.step(policy.decide(env.state))

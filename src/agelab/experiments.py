@@ -54,13 +54,18 @@ METRICS = ("aoi", "qaoi", "aoii")
 
 @dataclass(frozen=True)
 class EnvSpec:
-    """Everything needed to build identical environments from fresh seeds."""
+    """Everything needed to build identical environments from fresh seeds.
+
+    ``query`` only shapes qaoi environments and ``source`` only aoii ones,
+    so a spec can be switched to another metric with ``replace`` and keep
+    every setting that metric reads.
+    """
 
     metric: str = "aoi"
     params: SystemParams = SystemParams()
     risk: RiskSpec = RiskSpec()
-    query: QuerySpec | None = None
-    source: SourceSpec | None = None
+    query: QuerySpec = QuerySpec()
+    source: SourceSpec = SourceSpec()
 
     def __post_init__(self) -> None:
         if self.metric not in METRICS:
@@ -68,20 +73,9 @@ class EnvSpec:
 
     def build(self, seed: int | np.random.SeedSequence) -> AoiEnv | AoiiEnv:
         if self.metric == "aoii":
-            return AoiiEnv(
-                self.params,
-                self.source if self.source is not None else SourceSpec(),
-                self.risk.zeta_aoii,
-                seed=seed,
-            )
-        if self.metric == "qaoi":
-            return AoiEnv(
-                self.params,
-                self.risk.zeta,
-                query=self.query if self.query is not None else QuerySpec(),
-                seed=seed,
-            )
-        return AoiEnv(self.params, self.risk.zeta, seed=seed)
+            return AoiiEnv(self.params, self.source, self.risk.zeta_aoii, seed=seed)
+        query = self.query if self.metric == "qaoi" else None
+        return AoiEnv(self.params, self.risk.zeta, query=query, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -227,7 +221,7 @@ def threshold_sweep(
     """
     if not thresholds:
         raise ValueError("thresholds must be a nonempty list")
-    spec = _spec_for_metric(metric, config.env)
+    spec = replace(config.env, metric=metric)
     params = spec.params
     points: list[SweepPoint] = []
     for value in sorted(thresholds):
@@ -263,24 +257,13 @@ def threshold_sweep(
     )
 
 
-def _spec_for_metric(metric: str, spec: EnvSpec) -> EnvSpec:
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
-    if metric != spec.metric:
-        spec = replace(spec, metric=metric)
-    if metric == "qaoi" and spec.query is None:
-        spec = replace(spec, query=QuerySpec())
-    if metric == "aoii" and spec.source is None:
-        spec = replace(spec, source=SourceSpec())
-    return spec
-
-
-def _baseline_threshold(metric: str, spec: EnvSpec, config: ExperimentConfig) -> int:
+def _baseline_threshold(spec: EnvSpec, config: ExperimentConfig) -> int:
+    """The configured threshold, else the best one for the spec's metric."""
     if config.threshold is not None:
         return config.threshold
-    if metric == "aoi":
+    if spec.metric == "aoi":
         return optimal_threshold("aoi", spec.params)
-    if metric == "qaoi":
+    if spec.metric == "qaoi":
         return optimal_threshold("qaoi", spec.params, q=spec.query.q)
     # the mismatch metric has no closed form; pick the cheapest threshold
     # empirically over a small sweep, the way the baseline is tuned by hand
@@ -329,7 +312,7 @@ def learning_comparison(
     risk-scaled learners share training seeds per run, and all strategies
     share evaluation seeds per run.
     """
-    spec = _spec_for_metric(metric, config.env)
+    spec = replace(config.env, metric=metric)
     eval_ns, pol_ns, train_ns, explore_ns = _namespaces(config.base_seed)
     runs = config.runs
     env_seeds = eval_ns.spawn(runs)
@@ -337,7 +320,7 @@ def learning_comparison(
     train_seeds = train_ns.spawn(runs)
     explore_seeds = explore_ns.spawn(runs)
 
-    threshold = _baseline_threshold(metric, spec, config)
+    threshold = _baseline_threshold(spec, config)
     send_prob = config.send_prob if config.send_prob is not None else spec.params.lam
     rho = spec.risk.rho
     lp = replace(config.learning, steps=learn_steps)
@@ -403,7 +386,7 @@ def query_prob_sweep(q_values: list[float], config: ExperimentConfig) -> QuerySw
         raise ValueError("q_values must be a nonempty list")
     points: list[QuerySweepPoint] = []
     for q in sorted(q_values):
-        spec = _spec_for_metric("qaoi", replace(config.env, query=QuerySpec(q)))
+        spec = replace(config.env, metric="qaoi", query=QuerySpec(q))
         cfg = replace(config, env=spec)
         comparison = learning_comparison("qaoi", config.learning.steps, cfg)
         best_n = optimal_threshold("qaoi", spec.params, q=q)
@@ -434,6 +417,32 @@ class ResultRow:
     mean_risky_freq: float
     std_risky_freq: float
 
+    @classmethod
+    def from_stats(
+        cls,
+        experiment_id: str,
+        metric: str,
+        strategy: str,
+        param: str,
+        learn_steps: int | None,
+        stats: RunStats,
+        config: ExperimentConfig,
+    ) -> ResultRow:
+        """A row for one strategy's statistics under the config's run profile."""
+        return cls(
+            experiment_id=experiment_id,
+            metric=metric,
+            strategy=strategy,
+            param=param,
+            learn_steps=learn_steps,
+            test_steps=config.test_steps,
+            runs=config.runs,
+            mean_cost=stats.mean_cost,
+            std_cost=stats.std_cost,
+            mean_risky_freq=stats.mean_risky_freq,
+            std_risky_freq=stats.std_risky_freq,
+        )
+
 
 CSV_COLUMNS = [
     "experiment_id",
@@ -461,18 +470,14 @@ def comparison_rows(
         "qlearn_risk": f"rho={comparison.rho:g}",
     }
     return [
-        ResultRow(
-            experiment_id=experiment_id,
-            metric=comparison.metric,
-            strategy=name,
-            param=params[name],
-            learn_steps=comparison.learn_steps if name.startswith("qlearn") else None,
-            test_steps=config.test_steps,
-            runs=config.runs,
-            mean_cost=stats.mean_cost,
-            std_cost=stats.std_cost,
-            mean_risky_freq=stats.mean_risky_freq,
-            std_risky_freq=stats.std_risky_freq,
+        ResultRow.from_stats(
+            experiment_id,
+            comparison.metric,
+            name,
+            params[name],
+            comparison.learn_steps if name.startswith("qlearn") else None,
+            stats,
+            config,
         )
         for name, stats in sorted(comparison.items())
     ]
@@ -482,18 +487,14 @@ def sweep_rows(
     experiment_id: str, metric: str, sweep: SweepResult, config: ExperimentConfig
 ) -> list[ResultRow]:
     return [
-        ResultRow(
-            experiment_id=experiment_id,
-            metric=metric,
-            strategy="threshold",
-            param=f"{sweep.variable}={point.value}",
-            learn_steps=None,
-            test_steps=config.test_steps,
-            runs=config.runs,
-            mean_cost=point.stats.mean_cost,
-            std_cost=point.stats.std_cost,
-            mean_risky_freq=point.stats.mean_risky_freq,
-            std_risky_freq=point.stats.std_risky_freq,
+        ResultRow.from_stats(
+            experiment_id,
+            metric,
+            "threshold",
+            f"{sweep.variable}={point.value}",
+            None,
+            point.stats,
+            config,
         )
         for point in sweep.points
     ]

@@ -15,17 +15,29 @@ from pathlib import Path
 import numpy as np
 
 from .env import SEND, WAIT, AoiEnv, AoiiEnv, AoIIState, AoIState
-from .strategy import GreedyPolicy
 
 __all__ = [
     "QTable",
     "LearningParams",
     "TrainReport",
-    "risk_adjusted_cost",
-    "q_update",
+    "A_MAX_LIMIT",
     "train",
-    "extract_policy",
 ]
+
+# Largest accepted age clamp.  The aoi table and the training grid hold
+# (a_max + 1)**2 cells, so memory grows quadratically: training at 1024
+# peaks near 220 MB, at 2048 near 780 MB.
+A_MAX_LIMIT = 1024
+
+
+def _check_a_max(a_max: int) -> None:
+    if a_max < 2:
+        raise ValueError(f"a_max must be at least 2, got {a_max}")
+    if a_max > A_MAX_LIMIT:
+        raise ValueError(
+            f"a_max must be at most {A_MAX_LIMIT}, got {a_max}: the value table grows "
+            f"as a_max**2 and training at {A_MAX_LIMIT} already takes about 220 MB"
+        )
 
 
 @dataclass
@@ -46,8 +58,7 @@ class QTable:
     def zeros(cls, metric: str, a_max: int) -> QTable:
         if metric not in ("aoi", "qaoi", "aoii"):
             raise ValueError(f"unknown metric {metric!r}")
-        if a_max < 2:
-            raise ValueError(f"a_max must be at least 2, got {a_max}")
+        _check_a_max(a_max)
         if metric == "aoii":
             shape: tuple[int, ...] = (a_max + 1, 2)
         else:
@@ -147,8 +158,7 @@ class LearningParams:
             raise ValueError(f"rate_power must be positive, got {self.rate_power}")
         if self.rho < 0.0:
             raise ValueError(f"rho must be nonnegative, got {self.rho}")
-        if self.a_max < 2:
-            raise ValueError(f"a_max must be at least 2, got {self.a_max}")
+        _check_a_max(self.a_max)
 
 
 @dataclass
@@ -161,29 +171,6 @@ class TrainReport:
     epsilon_trace: list[tuple[int, float]] = field(repr=False)
     risky_transitions: int = 0
     steps: int = 0
-
-
-def risk_adjusted_cost(cost: float, next_risky: bool, rho: float) -> float:
-    """Scale the cost by rho when the transition landed in a risky state."""
-    return rho * cost if next_risky else cost
-
-
-def q_update(
-    table: QTable,
-    state,
-    action: int,
-    cost: float,
-    next_state,
-    gamma: float,
-    rate: float,
-) -> float:
-    """One tabular update toward cost plus the discounted best next value."""
-    idx = table.index(state) + (action,)
-    next_wait, next_send = table.action_values(next_state)
-    bootstrap = next_wait if next_wait <= next_send else next_send
-    new = (1.0 - rate) * float(table.values[idx]) + rate * (cost + gamma * bootstrap)
-    table.values[idx] = new
-    return new
 
 
 def train(
@@ -273,8 +260,3 @@ def train(
         risky_transitions=risky_seen,
         steps=params.steps,
     )
-
-
-def extract_policy(table: QTable) -> GreedyPolicy:
-    """Wrap a learned table as a greedy policy with clamped lookups."""
-    return GreedyPolicy(table)

@@ -12,10 +12,6 @@ the query-gated receiver age and the mismatch age alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .env import AoIIState, AoIState
 
 __all__ = [
     "SystemParams",
@@ -23,8 +19,6 @@ __all__ = [
     "SourceSpec",
     "RiskSpec",
     "step_cost",
-    "is_risky_aoi",
-    "is_risky_aoii",
 ]
 
 
@@ -123,13 +117,3 @@ def step_cost(age: int | float, sent: bool, params: SystemParams) -> float:
     if sent:
         cost += params.beta * params.nu
     return cost
-
-
-def is_risky_aoi(state: AoIState, zeta: int) -> bool:
-    """A receiver age at or above the safety level is risky; the sender age is irrelevant."""
-    return state.aoi_rx >= zeta
-
-
-def is_risky_aoii(state: AoIIState, zeta_aoii: int) -> bool:
-    """A mismatch age at or above the safety level is risky; synced states never are."""
-    return state.aoii >= zeta_aoii

@@ -11,7 +11,6 @@ __all__ = [
     "AoiiThresholdPolicy",
     "RandomPolicy",
     "GreedyPolicy",
-    "greedy_decide",
 ]
 
 
@@ -67,12 +66,6 @@ class RandomPolicy:
         return SEND if self.rng.random() < self.send_prob else WAIT
 
 
-def greedy_decide(state, table) -> int:
-    """Pick the action with the lower estimated cost; ties wait to save energy."""
-    wait_value, send_value = table.action_values(state)
-    return SEND if send_value < wait_value else WAIT
-
-
 class GreedyPolicy:
     """Read actions out of a learned value table, clamping unseen states."""
 
@@ -81,4 +74,6 @@ class GreedyPolicy:
         self.name = f"greedy({table.metric})"
 
     def decide(self, state) -> int:
-        return greedy_decide(state, self.table)
+        """Pick the action with the lower estimated cost; ties wait to save energy."""
+        wait_value, send_value = self.table.action_values(state)
+        return SEND if send_value < wait_value else WAIT

@@ -328,9 +328,10 @@ def test_risk_constrained_threshold_query_gated():
 def test_evaluate_threshold_bundle():
     result = evaluate_threshold(2, DEFAULTS, zeta=5)
     assert result.threshold == 2
-    assert result.cost == pytest.approx(threshold_cost_aoi(2, DEFAULTS))
-    assert result.period_length == pytest.approx(mean_period_length(2, DEFAULTS))
-    assert result.attempts == pytest.approx(1 / 0.9)
+    assert result.breakdown == cost_breakdown(2, DEFAULTS)
+    assert result.breakdown.total == pytest.approx(threshold_cost_aoi(2, DEFAULTS))
+    assert result.breakdown.period_length == pytest.approx(mean_period_length(2, DEFAULTS))
+    assert result.breakdown.attempts == pytest.approx(1 / 0.9)
     assert sorted(result.freq) == list(range(3, 11))
     assert result.risky_freq == pytest.approx(0.09208620689650669, rel=1e-10)
 

@@ -211,6 +211,17 @@ def test_config_file_supplies_defaults(capsys, tmp_path):
     assert "aoi threshold 2" in out
 
 
+def test_unknown_metric_is_a_usage_failure(capsys, tmp_path):
+    code, _, err = run_cli(["optimize", "--metric", "foo"], capsys)
+    assert code == 1
+    assert "unknown metric 'foo'" in err
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("metric = foo\n")
+    code, _, err = run_cli(["optimize", "--config", str(cfg_file)], capsys)
+    assert code == 1
+    assert "unknown metric 'foo'" in err
+
+
 def test_bad_config_file_is_a_usage_failure(capsys, tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("nonsense = 1\n")
@@ -245,6 +256,14 @@ def test_train_mismatch_metric_table_layout(capsys, tmp_path):
     )
     assert code == 0
     assert out_file.read_text().splitlines()[0] == "synced,aoii,action,q_value"
+
+
+def test_train_refuses_an_oversized_table(capsys, tmp_path):
+    out_file = tmp_path / "table.csv"
+    code, _, err = run_cli(["train", "--a-max", "2048", "--out", str(out_file)], capsys)
+    assert code == 1
+    assert "a_max must be at most 1024" in err
+    assert not out_file.exists()
 
 
 # reproduce
@@ -293,3 +312,84 @@ def test_reproduce_comparison_accepts_step_override(capsys, tmp_path):
     assert {row["strategy"] for row in rows} == {"random", "threshold", "qlearn", "qlearn_risk"}
     assert all(row["test_steps"] == "400" for row in rows)
     assert (tmp_path / "fig4_risky_2000.dat").exists()
+
+
+@pytest.mark.parametrize(
+    "figure, metric, model_flags",
+    [
+        ("fig3c", "qaoi", ["--q", "0.9"]),
+        ("fig3d", "aoii", ["--p-r", "0.3", "--num-states", "4"]),
+    ],
+)
+def test_preset_uses_model_keys_whatever_the_metric_flag_says(
+    capsys, tmp_path, figure, metric, model_flags
+):
+    """A preset's own metric reads every key, even when --metric names another."""
+    profile = [figure, "--runs", "2", "--test-steps", "400", *model_flags]
+    code, _, _ = run_cli(["reproduce", *profile, "--out-dir", str(tmp_path / "a")], capsys)
+    assert code == 0
+    code, _, _ = run_cli(
+        ["reproduce", *profile, "--metric", metric, "--out-dir", str(tmp_path / "b")], capsys
+    )
+    assert code == 0
+    csv_name = f"{figure}.csv"
+    assert (tmp_path / "a" / csv_name).read_bytes() == (tmp_path / "b" / csv_name).read_bytes()
+
+
+def test_config_file_learn_steps_reaches_comparison_presets(capsys, tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("learn_steps = 500\n")
+    code, _, _ = run_cli(
+        [
+            "reproduce", "fig4", "--config", str(cfg_file),
+            "--a-max", "16", "--runs", "2", "--test-steps", "300",
+            "--out-dir", str(tmp_path),
+        ],
+        capsys,
+    )
+    assert code == 0
+    with open(tmp_path / "fig4.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert {row["learn_steps"] for row in rows if row["strategy"].startswith("qlearn")} == {"500"}
+    assert (tmp_path / "fig4_risky_500.dat").exists()
+
+
+# fig7's results at a small profile, value for value; in this preset the
+# baseline rows carry the training length too
+FIG7_CSV = """\
+experiment_id,metric,strategy,param,learn_steps,test_steps,runs,mean_cost,std_cost,mean_risky_freq,std_risky_freq
+fig7,qaoi,qlearn,q=0.2,1500,300,2,18.201666666666668,23.044609998869586,0.18333333333333335,0.05185449728701349
+fig7,qaoi,qlearn_risk,q=0.2,1500,300,2,1.6533333333333333,0.051854497287013426,0.08499999999999999,0.007071067811865472
+fig7,qaoi,random,q=0.2,1500,300,2,2.1883333333333335,0.03064129385141714,0.055,0.002357022603955154
+fig7,qaoi,threshold,q=0.2,1500,300,2,1.435,0.049497474683058366,0.08,0.009428090415820635
+fig7,qaoi,qlearn,q=0.4,1500,300,2,2.3483333333333336,0.1107800623858925,0.15833333333333333,0.02592724864350673
+fig7,qaoi,qlearn_risk,q=0.4,1500,300,2,2.29,0.047140452079103,0.05666666666666667,0.01885618083164127
+fig7,qaoi,random,q=0.4,1500,300,2,2.833333333333333,0.07071067811865482,0.09666666666666668,0.0047140452079103175
+fig7,qaoi,threshold,q=0.4,1500,300,2,2.065,0.0447834294751481,0.065,0.011785113019775794
+fig7,qaoi,qlearn,q=0.6,1500,300,2,2.8716666666666666,0.007071067811865324,0.16,0.05656854249492382
+fig7,qaoi,qlearn_risk,q=0.6,1500,300,2,2.825,0.007071067811865638,0.09,0.028284271247461894
+fig7,qaoi,random,q=0.6,1500,300,2,3.4566666666666666,0.004714045207910426,0.1433333333333333,0.009428090415820635
+fig7,qaoi,threshold,q=0.6,1500,300,2,2.6066666666666665,0.07542472332656525,0.09666666666666666,0.02357022603955158
+fig7,qaoi,qlearn,q=0.8,1500,300,2,3.4233333333333333,0.028284271247461926,0.13333333333333333,0.028284271247461894
+fig7,qaoi,qlearn_risk,q=0.8,1500,300,2,3.2366666666666664,0.12256517540566825,0.09833333333333333,0.04478342947514802
+fig7,qaoi,random,q=0.8,1500,300,2,4.1,0.08013876853447535,0.185,0.007071067811865481
+fig7,qaoi,threshold,q=0.8,1500,300,2,3.09,0.10370899457402717,0.07333333333333333,0.03299831645537221
+fig7,qaoi,qlearn,q=1,1500,300,2,4.241666666666667,0.5350441310978211,0.2683333333333333,0.09192388155425116
+fig7,qaoi,qlearn_risk,q=1,1500,300,2,3.855,0.35591041319722866,0.12333333333333334,0.1131370849898476
+fig7,qaoi,random,q=1,1500,300,2,4.641666666666667,0.03535533905932788,0.22,0.004714045207910308
+fig7,qaoi,threshold,q=1,1500,300,2,3.51,0.22156012477178466,0.08499999999999999,0.04006938426723769
+"""
+
+
+def test_query_sweep_preset_rows_are_pinned(capsys, tmp_path):
+    code, _, _ = run_cli(
+        [
+            "reproduce", "fig7",
+            "--learn-steps", "1500", "--a-max", "16",
+            "--runs", "2", "--test-steps", "300", "--seed", "7",
+            "--out-dir", str(tmp_path),
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert (tmp_path / "fig7.csv").read_text() == FIG7_CSV

@@ -25,11 +25,16 @@ from agelab.env import (
     AoIState,
     aoi_transition,
     aoii_transition,
-    iterate_outcomes,
 )
 from agelab.strategy import AoiiThresholdPolicy, RandomPolicy, ThresholdPolicy
 
 import numpy as np
+
+
+def iterate_outcomes(env, policy, horizon):
+    """Yield the raw step outcomes of a rollout."""
+    for _ in range(horizon):
+        yield env.step(policy.decide(env.state))
 
 
 def aoi_next_distribution(state, action, params):

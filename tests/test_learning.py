@@ -1,9 +1,9 @@
 """Q-table plumbing and the learner, pinned against a textbook reference.
 
 The reference implementation below is a plain dict-backed Q-learning loop
-written independently of the package's optimized one; with the risk factor
-at one the two must take identical decisions and produce identical tables
-bit for bit under shared seeds.
+written independently of the package's optimized one; at any risk factor
+the two must take identical decisions and produce identical tables bit for
+bit under shared seeds.
 """
 
 import numpy as np
@@ -20,13 +20,14 @@ from agelab import (
     train,
 )
 from agelab.env import SEND, WAIT, AoIIState, AoIState
-from agelab.learning import extract_policy, q_update, risk_adjusted_cost
+from agelab.learning import A_MAX_LIMIT
 from agelab.strategy import GreedyPolicy
 
 
 def textbook_qlearning(env, steps, seed, gamma=0.7, epsilon0=0.9, delta=0.999,
-                       epsilon_min=0.0, rate=0.1, a_max=128):
-    """Plain epsilon-greedy tabular Q-learning, risk-blind, dict-backed."""
+                       epsilon_min=0.0, rate=0.1, a_max=128, rho=1.0):
+    """Epsilon-greedy tabular Q-learning, dict-backed; the cost of a
+    transition landing in a risky state is multiplied by rho."""
     rng = np.random.default_rng(seed)
     values: dict[tuple, list[float]] = {}
 
@@ -49,11 +50,13 @@ def textbook_qlearning(env, steps, seed, gamma=0.7, epsilon0=0.9, delta=0.999,
             action = SEND if here[SEND] < here[WAIT] else WAIT
         eps = max(epsilon_min, epsilon0 * delta**i)
         out = env.step(action)
+        cost = out.cost
         if out.risky:
             risky_count += 1
+            cost = rho * cost
         nxt = cell(out.next_state)
         bootstrap = min(nxt[WAIT], nxt[SEND])
-        here[action] = (1.0 - rate) * here[action] + rate * (out.cost + gamma * bootstrap)
+        here[action] = (1.0 - rate) * here[action] + rate * (cost + gamma * bootstrap)
         state = out.next_state
     return values, eps, risky_count
 
@@ -77,6 +80,9 @@ def test_qtable_shapes():
         QTable.zeros("foo", 8)
     with pytest.raises(ValueError):
         QTable.zeros("aoi", 1)
+    assert QTable.zeros("aoii", A_MAX_LIMIT).values.shape == (A_MAX_LIMIT + 1, 2)
+    with pytest.raises(ValueError, match="220 MB"):
+        QTable.zeros("aoi", A_MAX_LIMIT + 1)
 
 
 def test_qtable_index_clamps():
@@ -166,22 +172,11 @@ def test_learning_params_validation(field, value):
         LearningParams(**{field: value})
 
 
-def test_risk_adjusted_cost():
-    assert risk_adjusted_cost(2.0, False, 5.0) == 2.0
-    assert risk_adjusted_cost(2.0, True, 5.0) == 10.0
-    assert risk_adjusted_cost(2.0, True, 1.0) == 2.0
-
-
-def test_q_update_arithmetic():
-    table = QTable.zeros("aoi", 8)
-    state, nxt = AoIState(0, 3), AoIState(1, 4)
-    table.values[0, 3, SEND] = 10.0
-    table.values[1, 4, WAIT] = 6.0
-    table.values[1, 4, SEND] = 2.0
-    new = q_update(table, state, SEND, cost=4.0, next_state=nxt, gamma=0.5, rate=0.1)
-    # (1 - 0.1) * 10 + 0.1 * (4 + 0.5 * min(6, 2))
-    assert new == pytest.approx(9.0 + 0.1 * 5.0)
-    assert table.values[0, 3, SEND] == new
+def test_a_max_bound_is_checked_before_any_table_exists():
+    """An oversized clamp is refused when the parameters are built, with the reason."""
+    assert LearningParams(a_max=A_MAX_LIMIT).a_max == A_MAX_LIMIT
+    with pytest.raises(ValueError, match=f"at most {A_MAX_LIMIT}, got 1025: .*a_max\\*\\*2"):
+        LearningParams(a_max=1025)
 
 
 # --- training ---------------------------------------------------------------
@@ -234,6 +229,25 @@ def test_risk_neutral_training_matches_reference_on_mismatch_metric():
     assert report.risky_transitions == risky
 
 
+@pytest.mark.parametrize("metric", ["aoi", "aoii"])
+def test_risk_scaled_training_matches_textbook_reference(metric):
+    """At rho = 2 risky costs are doubled before the update, exactly as in the dict loop."""
+    params = SystemParams()
+
+    def env():
+        if metric == "aoii":
+            return AoiiEnv(params, SourceSpec(), seed=9)
+        return AoiEnv(params, seed=123)
+
+    spec = LearningParams(steps=20_000, rho=2.0, a_max=64)
+    report = train(env(), spec, seed=456)
+    values, eps, risky = textbook_qlearning(env(), 20_000, seed=456, a_max=64, rho=2.0)
+    assert risky > 0
+    assert np.array_equal(report.table.values, as_array(values, metric, 64))
+    assert report.final_epsilon == eps
+    assert report.risky_transitions == risky
+
+
 def test_risk_factor_changes_learning():
     params = SystemParams()
     spec_plain = LearningParams(steps=20_000, rho=1.0, a_max=64)
@@ -274,10 +288,9 @@ def test_strict_query_gating_removes_all_signal_without_queries():
     assert np.any(report.table.values > 0.0)
 
 
-def test_extract_policy_reads_learned_table():
+def test_greedy_policy_reads_learned_table():
     report = train(AoiEnv(SystemParams(), seed=1), LearningParams(steps=30_000, a_max=32), seed=2)
-    policy = extract_policy(report.table)
-    assert isinstance(policy, GreedyPolicy)
+    policy = GreedyPolicy(report.table)
     # with a fresh sender packet and an old receiver picture, sending is the
     # only sane learned choice
     assert policy.decide(AoIState(0, 20)) == SEND

@@ -3,15 +3,15 @@
 import pytest
 
 from agelab import (
+    AoiEnv,
+    AoiiEnv,
     QuerySpec,
     RiskSpec,
     SourceSpec,
     SystemParams,
-    is_risky_aoi,
-    is_risky_aoii,
     step_cost,
 )
-from agelab.env import AoIIState, AoIState
+from agelab.env import SEND, WAIT, AoIIState
 
 
 def test_default_parameters():
@@ -94,9 +94,20 @@ def test_step_cost_weights_age_and_energy():
 
 
 def test_risky_predicates_use_inclusive_level():
-    assert is_risky_aoi(AoIState(0, 5), zeta=5)
-    assert not is_risky_aoi(AoIState(0, 4), zeta=5)
-    assert not is_risky_aoi(AoIState(7, 4), zeta=5)
-    assert is_risky_aoii(AoIIState(False, 3), zeta_aoii=3)
-    assert not is_risky_aoii(AoIIState(False, 2), zeta_aoii=3)
-    assert not is_risky_aoii(AoIIState(True, 0), zeta_aoii=3)
+    """A step landing at the safety level is risky, one below it is not."""
+    # certain arrivals and deliveries: waiting grows the receiver age by one
+    env = AoiEnv(SystemParams(p=1.0, lam=1.0), zeta=5, seed=0)
+    for age in range(2, 8):
+        out = env.step(WAIT)
+        assert out.next_state.aoi_rx == age
+        assert out.risky == (age >= 5)
+    # a source that always leaves a synced value and almost never returns
+    source = SourceSpec(num_states=10**6, p_r=0.0)
+    env = AoiiEnv(SystemParams(p=1.0), source, zeta_aoii=3, seed=0)
+    for age in range(1, 6):
+        out = env.step(WAIT)
+        assert out.next_state == AoIIState(False, age)
+        assert out.risky == (age >= 3)
+    out = env.step(SEND)
+    assert out.next_state == AoIIState(True, 0)
+    assert not out.risky

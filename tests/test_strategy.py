@@ -10,7 +10,6 @@ from agelab.strategy import (
     GreedyPolicy,
     RandomPolicy,
     ThresholdPolicy,
-    greedy_decide,
 )
 
 
@@ -65,16 +64,17 @@ def test_random_policy_extremes():
         RandomPolicy(1.5, rng)
 
 
-def test_greedy_decide_prefers_lower_cost_and_ties_wait():
+def test_greedy_policy_prefers_lower_cost_and_ties_wait():
     table = QTable.zeros("aoi", 8)
+    policy = GreedyPolicy(table)
     state = AoIState(1, 4)
     table.values[1, 4, WAIT] = 2.0
     table.values[1, 4, SEND] = 1.0
-    assert greedy_decide(state, table) == SEND
+    assert policy.decide(state) == SEND
     table.values[1, 4, SEND] = 2.0
-    assert greedy_decide(state, table) == WAIT
+    assert policy.decide(state) == WAIT
     table.values[1, 4, SEND] = 3.0
-    assert greedy_decide(state, table) == WAIT
+    assert policy.decide(state) == WAIT
 
 
 def test_greedy_policy_clamps_unseen_states():
