@@ -145,7 +145,7 @@ def _experiment_config(args: argparse.Namespace, keys: dict) -> ExperimentConfig
     env = EnvSpec(
         **given("metric"),
         params=SystemParams(**given("p", "nu", "alpha", "beta", lam="lambda")),
-        risk=RiskSpec(**given("zeta", "zeta_aoii", "rho")),
+        risk=RiskSpec(**given("zeta", "zeta_aoii")),
         query=QuerySpec(**given("q")),
         source=SourceSpec(**given("num_states", "p_r")),
     )

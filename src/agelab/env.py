@@ -10,7 +10,8 @@ changing the policy never perturbs the events themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Final, NamedTuple, Protocol
+from itertools import chain
+from typing import Final, Iterator, NamedTuple, Protocol
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "StepOutcome",
     "TrajectoryStats",
     "EventStreams",
+    "uniform_stream",
     "AoiEnv",
     "AoiiEnv",
     "aoi_transition",
@@ -33,6 +35,10 @@ __all__ = [
 
 WAIT: Final[int] = 0
 SEND: Final[int] = 1
+
+
+# Both state types keep the age their metric charges in the second slot.
+AGE: Final[int] = 1
 
 
 class AoIState(NamedTuple):
@@ -47,6 +53,11 @@ class AoIIState(NamedTuple):
 
     synced: bool
     aoii: int
+
+
+# The hot paths build states and outcomes with tuple.__new__, which skips
+# the Python-level __new__ that NamedTuple classes get.
+_new = tuple.__new__
 
 
 INITIAL_AOI: Final[AoIState] = AoIState(0, 1)
@@ -66,10 +77,10 @@ def aoi_transition(state: AoIState, action: int, arrival: bool, success: bool) -
     age snaps to the delivered packet's age plus one on a successful
     attempt and grows otherwise.
     """
-    tx = 0 if arrival else state.aoi_tx + 1
+    tx = 0 if arrival else state[0] + 1
     if action == SEND and success:
-        return AoIState(tx, state.aoi_tx + 1)
-    return AoIState(tx, state.aoi_rx + 1)
+        return _new(AoIState, (tx, state[0] + 1))
+    return _new(AoIState, (tx, state[1] + 1))
 
 
 def aoii_transition(state: AoIIState, action: int, source_event: bool, success: bool) -> AoIIState:
@@ -83,12 +94,11 @@ def aoii_transition(state: AoIIState, action: int, source_event: bool, success: 
     value.
     """
     if source_event or (action == SEND and success):
-        return AoIIState(True, 0)
-    return AoIIState(False, state.aoii + 1)
+        return INITIAL_AOII
+    return _new(AoIIState, (False, state[1] + 1))
 
 
-@dataclass(slots=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     """What one simulated step produced.
 
     ``query`` is only meaningful for the query-gated metric and stays False
@@ -103,24 +113,13 @@ class StepOutcome:
     success: bool
 
 
-class _UniformStream:
-    """Buffered stream of uniform [0, 1) draws from one substream."""
+def uniform_stream(rng: np.random.Generator, block: int = 8192) -> Iterator[float]:
+    """Endless uniform [0, 1) draws, ``next()`` at a time.
 
-    __slots__ = ("_rng", "_block", "_buf", "_pos")
-
-    def __init__(self, seed_seq: np.random.SeedSequence, block: int = 8192) -> None:
-        self._rng = np.random.default_rng(seed_seq)
-        self._block = block
-        self._buf: list[float] = []
-        self._pos = 0
-
-    def next(self) -> float:
-        if self._pos == len(self._buf):
-            self._buf = self._rng.random(self._block).tolist()
-            self._pos = 0
-        value = self._buf[self._pos]
-        self._pos += 1
-        return value
+    The values are exactly those of repeated ``rng.random()`` calls; they are
+    drawn a block at a time, which makes one draw about ten times cheaper.
+    """
+    return chain.from_iterable(iter(lambda: rng.random(block).tolist(), None))
 
 
 class EventStreams:
@@ -143,10 +142,10 @@ class EventStreams:
             )
             for i in range(4)
         )
-        self.arrival = _UniformStream(arrival)
-        self.channel = _UniformStream(channel)
-        self.query = _UniformStream(query)
-        self.source = _UniformStream(source)
+        self.arrival = uniform_stream(np.random.default_rng(arrival))
+        self.channel = uniform_stream(np.random.default_rng(channel))
+        self.query = uniform_stream(np.random.default_rng(query))
+        self.source = uniform_stream(np.random.default_rng(source))
 
 
 class AoiEnv:
@@ -184,24 +183,23 @@ class AoiEnv:
     def step(self, action: int) -> StepOutcome:
         params = self.params
         streams = self._streams
-        arrival = streams.arrival.next() < params.lam
-        channel_ok = streams.channel.next() < params.p
+        arrival = next(streams.arrival) < params.lam
+        channel_ok = next(streams.channel) < params.p
         sent = action == SEND
         nxt = aoi_transition(self.state, action, arrival, channel_ok)
+        age = nxt[1]
         if self.query is None:
             query = False
-            cost = step_cost(nxt.aoi_rx, sent, params)
-            risky = nxt.aoi_rx >= self.zeta
+            risky = age >= self.zeta
         else:
-            query = streams.query.next() < self.query.q
-            cost = step_cost(nxt.aoi_rx if query else 0, sent, params)
-            risky = query and nxt.aoi_rx >= self.zeta
+            query = next(streams.query) < self.query.q
+            risky = query and age >= self.zeta
+            if not query:
+                age = 0
         self.state = nxt
         self.steps_taken += 1
-        return StepOutcome(nxt, cost, risky, query, sent, sent and channel_ok)
-
-    def metric_age(self, state: AoIState) -> int:
-        return state.aoi_rx
+        cost = step_cost(age, sent, params)
+        return _new(StepOutcome, (nxt, cost, risky, query, sent, sent and channel_ok))
 
 
 class AoiiEnv:
@@ -220,6 +218,9 @@ class AoiiEnv:
             raise ValueError(f"zeta_aoii must be at least 1, got {zeta_aoii}")
         self.params = params
         self.source = source
+        # probability of a source event, indexed by the synced flag: keeping
+        # the value (p_r) when synced, returning to the receiver's (p_c) when not
+        self._event_prob = (source.p_c, source.p_r)
         self.zeta_aoii = zeta_aoii
         self._streams = EventStreams(seed)
         self.state: AoIIState = INITIAL_AOII
@@ -234,19 +235,16 @@ class AoiiEnv:
     def step(self, action: int) -> StepOutcome:
         params = self.params
         streams = self._streams
-        stay_prob = self.source.p_r if self.state.synced else self.source.p_c
-        source_event = streams.source.next() < stay_prob
-        channel_ok = streams.channel.next() < params.p
+        state = self.state
+        source_event = next(streams.source) < self._event_prob[state[0]]
+        channel_ok = next(streams.channel) < params.p
         sent = action == SEND
-        nxt = aoii_transition(self.state, action, source_event, channel_ok)
-        cost = step_cost(nxt.aoii, sent, params)
-        risky = nxt.aoii >= self.zeta_aoii
+        nxt = aoii_transition(state, action, source_event, channel_ok)
+        age = nxt[1]
         self.state = nxt
         self.steps_taken += 1
-        return StepOutcome(nxt, cost, risky, False, sent, sent and channel_ok)
-
-    def metric_age(self, state: AoIIState) -> int:
-        return state.aoii
+        cost = step_cost(age, sent, params)
+        return _new(StepOutcome, (nxt, cost, age >= self.zeta_aoii, False, sent, sent and channel_ok))
 
 
 @dataclass
@@ -274,19 +272,20 @@ def run_policy(env: AoiEnv | AoiiEnv, policy: Policy, horizon: int) -> Trajector
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     step = env.step
     decide = policy.decide
-    metric_age = env.metric_age
+    state = env.state
     cost_sum = 0.0
     risky_count = 0
     send_count = 0
     hist: dict[int, int] = {}
     for _ in range(horizon):
-        out = step(decide(env.state))
+        out = step(decide(state))
+        state = out.next_state
         cost_sum += out.cost
         if out.risky:
             risky_count += 1
         if out.sent:
             send_count += 1
-        age = metric_age(out.next_state)
+        age = state[AGE]
         hist[age] = hist.get(age, 0) + 1
     return TrajectoryStats(
         steps=horizon,

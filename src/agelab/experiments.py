@@ -258,17 +258,15 @@ def threshold_sweep(
 
 
 def _baseline_threshold(spec: EnvSpec, config: ExperimentConfig) -> int:
-    """The configured threshold, else the best one for the spec's metric."""
+    """The configured threshold, else the analytic optimum of the age metrics.
+
+    The mismatch metric has no closed form; ``learning_comparison`` picks its
+    threshold by a sweep.
+    """
     if config.threshold is not None:
         return config.threshold
-    if spec.metric == "aoi":
-        return optimal_threshold("aoi", spec.params)
-    if spec.metric == "qaoi":
-        return optimal_threshold("qaoi", spec.params, q=spec.query.q)
-    # the mismatch metric has no closed form; pick the cheapest threshold
-    # empirically over a small sweep, the way the baseline is tuned by hand
-    sweep = threshold_sweep("aoii", list(range(0, 7)), config)
-    return sweep.best_value
+    q = spec.query.q if spec.metric == "qaoi" else None
+    return optimal_threshold(spec.metric, spec.params, q=q)
 
 
 class ComparisonResult(Mapping[str, RunStats]):
@@ -308,9 +306,9 @@ def learning_comparison(
     Strategies: "random" (sends with the arrival probability unless
     configured otherwise), "threshold" (fixed benchmark threshold),
     "qlearn" (plain learner, rho forced to 1), "qlearn_risk" (risk-scaled
-    learner) and, for the mismatch metric, "always_send".  The plain and
-    risk-scaled learners share training seeds per run, and all strategies
-    share evaluation seeds per run.
+    learner, rho from ``config.learning``) and, for the mismatch metric,
+    "always_send".  The plain and risk-scaled learners share training seeds
+    per run, and all strategies share evaluation seeds per run.
     """
     spec = replace(config.env, metric=metric)
     eval_ns, pol_ns, train_ns, explore_ns = _namespaces(config.base_seed)
@@ -320,19 +318,29 @@ def learning_comparison(
     train_seeds = train_ns.spawn(runs)
     explore_seeds = explore_ns.spawn(runs)
 
-    threshold = _baseline_threshold(spec, config)
-    send_prob = config.send_prob if config.send_prob is not None else spec.params.lam
-    rho = spec.risk.rho
-    lp = replace(config.learning, steps=learn_steps)
-    lp_plain = replace(lp, rho=1.0)
-    lp_risk = replace(lp, rho=rho)
-
-    tb_policy = _threshold_policy(metric, threshold)
     strategies = ["random", "threshold", "qlearn", "qlearn_risk"]
     if metric == "aoii":
         strategies.append("always_send")
+    # Statistics known before the loop.  Without a configured threshold the
+    # aoii baseline is the cheapest one of a small sweep, the way it is tuned
+    # by hand.  The sweep runs on the same evaluation seeds, so its points for
+    # that threshold and for theta = 0 (always send) are those strategies' results.
+    known: dict[str, RunStats] = {}
+    if metric == "aoii" and config.threshold is None:
+        sweep = threshold_sweep("aoii", list(range(0, 7)), config)
+        threshold = sweep.best_value
+        by_value = {point.value: point.stats for point in sweep.points}
+        known = {"threshold": by_value[threshold], "always_send": by_value[0]}
+    else:
+        threshold = _baseline_threshold(spec, config)
+    send_prob = config.send_prob if config.send_prob is not None else spec.params.lam
+    lp_risk = replace(config.learning, steps=learn_steps)
+    lp_plain = replace(lp_risk, rho=1.0)
+
+    tb_policy = _threshold_policy(metric, threshold)
+    rollouts = [name for name in strategies if name not in known]
     samples: dict[str, tuple[list[float], list[float], list[float]]] = {
-        name: ([], [], []) for name in strategies
+        name: ([], [], []) for name in rollouts
     }
     for i in range(runs):
         plain_report = train(spec.build(train_seeds[i]), lp_plain, explore_seeds[i])
@@ -345,21 +353,24 @@ def learning_comparison(
         }
         if metric == "aoii":
             policies["always_send"] = AoiiThresholdPolicy(0)
-        for name in strategies:
+        for name in rollouts:
             env = spec.build(env_seeds[i])
             stats = run_policy(env, policies[name], config.test_steps)
             costs, risky, send_rates = samples[name]
             costs.append(stats.avg_cost)
             risky.append(stats.risky_freq)
             send_rates.append(stats.send_count / stats.steps)
-    results = {name: RunStats.from_runs(*samples[name]) for name in strategies}
+    results = {
+        name: known[name] if name in known else RunStats.from_runs(*samples[name])
+        for name in strategies
+    }
     return ComparisonResult(
         results=results,
         metric=metric,
         learn_steps=learn_steps,
         threshold=threshold,
         send_prob=send_prob,
-        rho=rho,
+        rho=lp_risk.rho,
     )
 
 

@@ -9,12 +9,14 @@ recovers the plain learner exactly, bit for bit under a shared seed.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .env import SEND, WAIT, AoiEnv, AoiiEnv, AoIIState, AoIState
+from .env import SEND, WAIT, AoiEnv, AoiiEnv, AoIIState, AoIState, uniform_stream
 
 __all__ = [
     "QTable",
@@ -24,9 +26,9 @@ __all__ = [
     "train",
 ]
 
-# Largest accepted age clamp.  The aoi table and the training grid hold
-# (a_max + 1)**2 cells, so memory grows quadratically: training at 1024
-# peaks near 220 MB, at 2048 near 780 MB.
+# Largest accepted age clamp.  The aoi table holds (a_max + 1)**2 cells, so
+# memory grows quadratically: `agelab train --learn-steps 1000` peaks near
+# 100 MB of RSS at 1024 and near 290 MB at 2048.
 A_MAX_LIMIT = 1024
 
 
@@ -36,8 +38,33 @@ def _check_a_max(a_max: int) -> None:
     if a_max > A_MAX_LIMIT:
         raise ValueError(
             f"a_max must be at most {A_MAX_LIMIT}, got {a_max}: the value table grows "
-            f"as a_max**2 and training at {A_MAX_LIMIT} already takes about 220 MB"
+            f"as a_max**2 and training at {A_MAX_LIMIT} already takes about 100 MB"
         )
+
+
+def _table_shape(metric: str, a_max: int) -> tuple[int, ...]:
+    if metric == "aoii":
+        return (a_max + 1, 2)
+    return (a_max + 1, a_max + 1, 2)
+
+
+def _wait_slot(metric: str, a_max: int) -> Callable[[AoIState | AoIIState], int]:
+    """Map a state to the position of its clamped cell's wait entry in the
+    flattened (C-order) table; the send entry follows it."""
+    if metric == "aoii":
+
+        def slot(state: AoIIState) -> int:
+            age = state[1]
+            return 2 * (age if age < a_max else a_max)
+
+    else:
+        width = a_max + 1
+
+        def slot(state: AoIState) -> int:
+            tx, rx = state
+            return 2 * ((tx if tx < a_max else a_max) * width + (rx if rx < a_max else a_max))
+
+    return slot
 
 
 @dataclass
@@ -59,39 +86,32 @@ class QTable:
         if metric not in ("aoi", "qaoi", "aoii"):
             raise ValueError(f"unknown metric {metric!r}")
         _check_a_max(a_max)
-        if metric == "aoii":
-            shape: tuple[int, ...] = (a_max + 1, 2)
-        else:
-            shape = (a_max + 1, a_max + 1, 2)
-        return cls(metric=metric, a_max=a_max, values=np.zeros(shape))
+        return cls(metric=metric, a_max=a_max, values=np.zeros(_table_shape(metric, a_max)))
 
-    def index(self, state: AoIState | AoIIState) -> tuple[int, ...]:
-        if self.metric == "aoii":
-            return (min(state.aoii, self.a_max),)
-        return (min(state.aoi_tx, self.a_max), min(state.aoi_rx, self.a_max))
-
-    def action_values(self, state) -> tuple[float, float]:
-        cell = self.values[self.index(state)]
-        return (cell[WAIT], cell[SEND])
+    def wait_slot(self) -> Callable[[AoIState | AoIIState], int]:
+        """A function from a state to the position of its cell's wait entry
+        in ``values.reshape(-1)``; the send entry follows it."""
+        return _wait_slot(self.metric, self.a_max)
 
     def dump_csv(self, path: str | Path) -> None:
-        """Write every grid entry; floats use repr so reloading is exact."""
+        """Write every grid entry as a CSV row; floats use repr so reloading is exact."""
+        # The rows are what csv.writer writes (no field ever needs quoting),
+        # formatted directly and one sender age at a time to bound memory.
         with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
+            write = handle.write
             if self.metric == "aoii":
-                writer.writerow(["synced", "aoii", "action", "q_value"])
-                for age in range(self.a_max + 1):
-                    for action in (WAIT, SEND):
-                        synced = 1 if age == 0 else 0
-                        writer.writerow([synced, age, action, repr(float(self.values[age, action]))])
+                write("synced,aoii,action,q_value\r\n")
+                for age, (wait, send) in enumerate(self.values.tolist()):
+                    synced = 1 if age == 0 else 0
+                    write(f"{synced},{age},{WAIT},{wait!r}\r\n{synced},{age},{SEND},{send!r}\r\n")
             else:
-                writer.writerow(["aoi_tx", "aoi_rx", "action", "q_value"])
+                write("aoi_tx,aoi_rx,action,q_value\r\n")
                 for tx in range(self.a_max + 1):
-                    for rx in range(1, self.a_max + 1):
-                        for action in (WAIT, SEND):
-                            writer.writerow(
-                                [tx, rx, action, repr(float(self.values[tx, rx, action]))]
-                            )
+                    pairs = self.values[tx].tolist()
+                    write("".join(
+                        f"{tx},{rx},{WAIT},{wait!r}\r\n{tx},{rx},{SEND},{send!r}\r\n"
+                        for rx, (wait, send) in enumerate(pairs[1:], start=1)
+                    ))
 
     @classmethod
     def load_csv(cls, path: str | Path, metric: str | None = None) -> QTable:
@@ -187,23 +207,13 @@ def train(
     """
     a_cap = params.a_max
     metric = env.metric
-    if metric == "aoii":
-        # cell layout: [q_wait, q_send, visits_wait, visits_send]
-        grid = [[0.0, 0.0, 0, 0] for _ in range(a_cap + 1)]
-
-        def cell_of(state: AoIIState):
-            age = state.aoii
-            return grid[age if age < a_cap else a_cap]
-
-    else:
-        rows = [[[0.0, 0.0, 0, 0] for _ in range(a_cap + 1)] for _ in range(a_cap + 1)]
-
-        def cell_of(state: AoIState):
-            tx, rx = state
-            return rows[tx if tx < a_cap else a_cap][rx if rx < a_cap else a_cap]
-
-    rng = np.random.default_rng(seed)
-    uniform = rng.random
+    shape = _table_shape(metric, a_cap)
+    slot_of = _wait_slot(metric, a_cap)
+    # The table and its visit counts as flat lists in the layout of
+    # QTable.values.reshape(-1), packed into arrays once training ends.
+    q = [0.0] * math.prod(shape)
+    visits = [0] * len(q)
+    uniform = uniform_stream(np.random.default_rng(seed))
     gamma = params.gamma
     rho = params.rho
     const_rate = params.rate if params.rate_power is None else None
@@ -214,15 +224,15 @@ def train(
     strict = params.strict_query_cost and metric == "qaoi"
     trace_every = max(1, params.steps // 10)
     step = env.step
-    cell = cell_of(env.state)
+    here = slot_of(env.state)
     eps = epsilon0
     risky_seen = 0
     trace: list[tuple[int, float]] = []
     for i in range(1, params.steps + 1):
-        if uniform() < eps:
-            action = SEND if uniform() < 0.5 else WAIT
+        if next(uniform) < eps:
+            action = SEND if next(uniform) < 0.5 else WAIT
         else:
-            action = SEND if cell[1] < cell[0] else WAIT
+            action = SEND if q[here + 1] < q[here] else WAIT
         eps = epsilon0 * delta**i
         if eps < epsilon_min:
             eps = epsilon_min
@@ -233,28 +243,23 @@ def train(
         if out.risky:
             risky_seen += 1
             cost = rho * cost
-        ncell = cell_of(out.next_state)
-        bootstrap = ncell[0] if ncell[0] <= ncell[1] else ncell[1]
+        there = slot_of(out.next_state)
+        wait_value = q[there]
+        send_value = q[there + 1]
+        bootstrap = wait_value if wait_value <= send_value else send_value
+        entry = here + action
         if const_rate is None:
-            rate = 1.0 / (1.0 + cell[2 + action]) ** rate_power
+            rate = 1.0 / (1.0 + visits[entry]) ** rate_power
         else:
             rate = const_rate
-        cell[action] = (1.0 - rate) * cell[action] + rate * (cost + gamma * bootstrap)
-        cell[2 + action] += 1
-        cell = ncell
+        q[entry] = (1.0 - rate) * q[entry] + rate * (cost + gamma * bootstrap)
+        visits[entry] += 1
+        here = there
         if i % trace_every == 0:
             trace.append((i, eps))
-    table = QTable.zeros(metric, a_cap)
-    visits = np.zeros(table.values.shape, dtype=np.int64)
-    if metric == "aoii":
-        packed = np.asarray(grid)
-    else:
-        packed = np.asarray(rows)
-    table.values[...] = packed[..., :2]
-    visits[...] = packed[..., 2:].astype(np.int64)
     return TrainReport(
-        table=table,
-        visits=visits,
+        table=QTable(metric, a_cap, np.array(q).reshape(shape)),
+        visits=np.array(visits, dtype=np.int64).reshape(shape),
         final_epsilon=eps,
         epsilon_trace=trace,
         risky_transitions=risky_seen,

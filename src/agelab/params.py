@@ -90,30 +90,26 @@ class SourceSpec:
 
 @dataclass(frozen=True)
 class RiskSpec:
-    """Safety levels per metric and the cost multiplier applied by learners.
+    """Safety levels per metric.
 
     zeta:      receiver ages at or above this value are risky (AoI and QAoI)
     zeta_aoii: mismatch ages at or above this value are risky
-    rho:       factor by which a learner scales the cost of transitions that
-               land in a risky state (1 recovers plain Q-learning)
+
+    The factor by which a learner scales risky costs is ``LearningParams.rho``.
     """
 
     zeta: int = 5
     zeta_aoii: int = 3
-    rho: float = 2.0
 
     def __post_init__(self) -> None:
         if self.zeta < 1:
             raise ValueError(f"zeta must be at least 1, got {self.zeta}")
         if self.zeta_aoii < 1:
             raise ValueError(f"zeta_aoii must be at least 1, got {self.zeta_aoii}")
-        if self.rho < 0.0:
-            raise ValueError(f"rho must be nonnegative, got {self.rho}")
 
 
 def step_cost(age: int | float, sent: bool, params: SystemParams) -> float:
     """Weighted per-step cost: alpha times age, plus beta*nu when an attempt was made."""
-    cost = params.alpha * age
     if sent:
-        cost += params.beta * params.nu
-    return cost
+        return params.alpha * age + params.beta * params.nu
+    return params.alpha * age

@@ -67,13 +67,22 @@ class RandomPolicy:
 
 
 class GreedyPolicy:
-    """Read actions out of a learned value table, clamping unseen states."""
+    """Read actions out of a learned value table, clamping unseen states.
+
+    The policy reads the ``values`` array the table holds when the policy is
+    built, in place through a flat view, so later updates to its entries
+    show in the decisions.
+    """
 
     def __init__(self, table) -> None:
         self.table = table
         self.name = f"greedy({table.metric})"
+        self._slot = table.wait_slot()
+        view = memoryview(table.values)
+        self._flat = view.cast("B").cast(view.format)
 
     def decide(self, state) -> int:
         """Pick the action with the lower estimated cost; ties wait to save energy."""
-        wait_value, send_value = self.table.action_values(state)
-        return SEND if send_value < wait_value else WAIT
+        flat = self._flat
+        slot = self._slot(state)
+        return SEND if flat[slot + 1] < flat[slot] else WAIT

@@ -35,6 +35,9 @@ from agelab import (
 )
 from agelab.strategy import ThresholdPolicy
 
+# the whole module is the slow tier; `pytest -m "not acceptance"` leaves it out
+pytestmark = pytest.mark.acceptance
+
 DEFAULTS = SystemParams()
 
 

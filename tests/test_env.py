@@ -25,6 +25,7 @@ from agelab.env import (
     AoIState,
     aoi_transition,
     aoii_transition,
+    uniform_stream,
 )
 from agelab.strategy import AoiiThresholdPolicy, RandomPolicy, ThresholdPolicy
 
@@ -172,6 +173,16 @@ def test_reset_replays_identically():
     assert env.steps_taken == 0
     outs2 = list(iterate_outcomes(env, policy, 300))
     assert outs1 == outs2
+
+
+@pytest.mark.parametrize("block", [7, 8192])
+def test_buffered_stream_replays_single_draws(block):
+    """Block-wise draws give exactly the values of one rng.random() call each,
+    across several block boundaries."""
+    count = 3 * block + 5
+    stream = uniform_stream(np.random.default_rng(31), block)
+    single = np.random.default_rng(31)
+    assert [next(stream) for _ in range(count)] == [single.random() for _ in range(count)]
 
 
 def test_event_streams_do_not_depend_on_policy():

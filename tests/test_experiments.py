@@ -1,6 +1,7 @@
 """Seeded evaluation harness: pairing, sweeps, comparisons and CSV output."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from agelab.experiments import (
     query_prob_sweep,
     sweep_rows,
 )
-from agelab.strategy import RandomPolicy, ThresholdPolicy
+from agelab.strategy import AoiiThresholdPolicy, RandomPolicy, ThresholdPolicy
 
 FAST = ExperimentConfig(
     learning=LearningParams(steps=3000, a_max=32),
@@ -160,6 +161,49 @@ def test_learning_comparison_mismatch_adds_always_send():
     comparison = learning_comparison("aoii", 3000, FAST)
     assert "always_send" in set(comparison)
     assert comparison["always_send"].mean_send_rate == 1.0
+
+
+def test_mismatch_baselines_come_from_the_threshold_sweep(monkeypatch):
+    """Without a configured theta the aoii baselines are read off the sweep
+    that picks theta, which ran on the same evaluation seeds; they equal
+    fresh evaluations, and no rollout is spent on them twice."""
+    config = ExperimentConfig(
+        learning=LearningParams(steps=500, a_max=32), test_steps=400, runs=2, base_seed=7
+    )
+    steps = 0
+    plain_step = AoiiEnv.step
+
+    def counted_step(self, action):
+        nonlocal steps
+        steps += 1
+        return plain_step(self, action)
+
+    monkeypatch.setattr(AoiiEnv, "step", counted_step)
+    comparison = learning_comparison("aoii", 500, config)
+    # 7 swept thresholds, two learners and three greedy/random rollouts per run
+    assert steps == 7 * 2 * 400 + 2 * (2 * 500 + 3 * 400)
+    monkeypatch.undo()
+    spec = EnvSpec("aoii")
+    for name, theta in (("threshold", comparison.threshold), ("always_send", 0)):
+        direct = evaluate(AoiiThresholdPolicy(theta), spec, 400, 2, 7)
+        assert comparison[name] == direct
+
+
+def test_learning_comparison_takes_rho_from_the_learning_parameters():
+    config = ExperimentConfig(
+        learning=LearningParams(steps=2000, a_max=32, rho=3.0),
+        test_steps=1000,
+        runs=2,
+        base_seed=1,
+    )
+    comparison = learning_comparison("aoi", 2000, config)
+    assert comparison.rho == 3.0
+    doubled = learning_comparison(
+        "aoi", 2000, replace(config, learning=LearningParams(steps=2000, a_max=32))
+    )
+    assert doubled.rho == 2.0
+    assert comparison["qlearn"] == doubled["qlearn"]  # the plain learner always runs at 1
+    assert comparison["qlearn_risk"] != doubled["qlearn_risk"]
 
 
 def test_learning_comparison_respects_overrides():

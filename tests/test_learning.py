@@ -25,11 +25,19 @@ from agelab.strategy import GreedyPolicy
 
 
 def textbook_qlearning(env, steps, seed, gamma=0.7, epsilon0=0.9, delta=0.999,
-                       epsilon_min=0.0, rate=0.1, a_max=128, rho=1.0):
+                       epsilon_min=0.0, rate=0.1, a_max=128, rho=1.0, rate_power=None,
+                       strict_query_cost=False, visits=None):
     """Epsilon-greedy tabular Q-learning, dict-backed; the cost of a
-    transition landing in a risky state is multiplied by rho."""
+    transition landing in a risky state is multiplied by rho.
+
+    With rate_power the rate of a pair is 1 / (1 + visits so far) ** rate_power;
+    with strict_query_cost a non-query step costs nothing.  Visit counts go
+    into ``visits`` when a dict is given.
+    """
     rng = np.random.default_rng(seed)
     values: dict[tuple, list[float]] = {}
+    if visits is None:
+        visits = {}
 
     def clamp(state):
         if env.metric == "aoii":
@@ -51,12 +59,18 @@ def textbook_qlearning(env, steps, seed, gamma=0.7, epsilon0=0.9, delta=0.999,
         eps = max(epsilon_min, epsilon0 * delta**i)
         out = env.step(action)
         cost = out.cost
+        if strict_query_cost and env.metric == "qaoi" and not out.query:
+            cost = 0.0
         if out.risky:
             risky_count += 1
             cost = rho * cost
         nxt = cell(out.next_state)
         bootstrap = min(nxt[WAIT], nxt[SEND])
-        here[action] = (1.0 - rate) * here[action] + rate * (cost + gamma * bootstrap)
+        pair = clamp(state) + (action,)
+        seen = visits.get(pair, 0)
+        step_rate = rate if rate_power is None else 1.0 / (1.0 + seen) ** rate_power
+        here[action] = (1.0 - step_rate) * here[action] + step_rate * (cost + gamma * bootstrap)
+        visits[pair] = seen + 1
         state = out.next_state
     return values, eps, risky_count
 
@@ -67,6 +81,13 @@ def as_array(values, metric, a_max):
         table.values[idx + (WAIT,)] = pair[WAIT]
         table.values[idx + (SEND,)] = pair[SEND]
     return table.values
+
+
+def visits_array(visits, metric, a_max):
+    counts = np.zeros(QTable.zeros(metric, a_max).values.shape, dtype=np.int64)
+    for idx, count in visits.items():
+        counts[idx] = count
+    return counts
 
 
 # --- QTable ----------------------------------------------------------------
@@ -81,23 +102,39 @@ def test_qtable_shapes():
     with pytest.raises(ValueError):
         QTable.zeros("aoi", 1)
     assert QTable.zeros("aoii", A_MAX_LIMIT).values.shape == (A_MAX_LIMIT + 1, 2)
-    with pytest.raises(ValueError, match="220 MB"):
+    with pytest.raises(ValueError, match="100 MB"):
         QTable.zeros("aoi", A_MAX_LIMIT + 1)
 
 
 def test_qtable_index_clamps():
+    """A state's slot in the flattened table is its cell's; ages beyond
+    a_max read the boundary cell."""
     table = QTable.zeros("aoi", 4)
-    assert table.index(AoIState(2, 3)) == (2, 3)
-    assert table.index(AoIState(9, 30)) == (4, 4)
+    table.values[2, 3, WAIT] = 1.0
+    table.values[4, 4, SEND] = 9.0
+    flat = table.values.reshape(-1)
+    slot = table.wait_slot()
+    assert flat[slot(AoIState(2, 3))] == 1.0
+    assert flat[slot(AoIState(9, 30)) + 1] == 9.0
+    assert slot(AoIState(4, 9)) == slot(AoIState(4, 4))
     aoii = QTable.zeros("aoii", 4)
-    assert aoii.index(AoIIState(False, 7)) == (4,)
+    aoii.values[4, SEND] = 3.0
+    flat = aoii.values.reshape(-1)
+    assert flat[aoii.wait_slot()(AoIIState(False, 7)) + 1] == 3.0
 
 
 def test_qtable_action_values():
+    """A state's slot holds its wait value and the next one its send value."""
     table = QTable.zeros("aoi", 4)
     table.values[1, 2, WAIT] = 5.0
     table.values[1, 2, SEND] = 7.0
-    assert table.action_values(AoIState(1, 2)) == (5.0, 7.0)
+    flat = table.values.reshape(-1)
+    slot = table.wait_slot()
+    assert (flat[slot(AoIState(1, 2))], flat[slot(AoIState(1, 2)) + 1]) == (5.0, 7.0)
+    aoii = QTable.zeros("aoii", 4)
+    aoii.values[0, WAIT] = 2.0
+    flat = aoii.values.reshape(-1)
+    assert flat[aoii.wait_slot()(AoIIState(True, 0))] == 2.0
 
 
 def test_qtable_csv_round_trip_exact(tmp_path):
@@ -248,6 +285,39 @@ def test_risk_scaled_training_matches_textbook_reference(metric):
     assert report.risky_transitions == risky
 
 
+@pytest.mark.parametrize("metric,rho,rate_power,strict", [
+    ("qaoi", 1.0, None, False),
+    ("qaoi", 2.0, None, True),
+    ("aoi", 2.0, 0.6, False),
+    ("qaoi", 2.0, 0.8, True),
+    ("aoii", 2.0, 1.0, False),
+])
+def test_every_learner_branch_matches_textbook_reference(metric, rho, rate_power, strict):
+    """The query-gated metric, the visit-count rate schedule and strict query
+    gating, none of which the CLI reaches, replay the dict loop bit for bit,
+    visit counts included."""
+    params = SystemParams()
+
+    def env():
+        if metric == "aoii":
+            return AoiiEnv(params, SourceSpec(), seed=21)
+        return AoiEnv(params, query=QuerySpec(q=0.4) if metric == "qaoi" else None, seed=21)
+
+    spec = LearningParams(steps=15_000, rho=rho, rate_power=rate_power,
+                          strict_query_cost=strict, a_max=48)
+    report = train(env(), spec, seed=22)
+    visits: dict[tuple, int] = {}
+    values, eps, risky = textbook_qlearning(
+        env(), 15_000, seed=22, a_max=48, rho=rho, rate_power=rate_power,
+        strict_query_cost=strict, visits=visits,
+    )
+    assert risky > 0
+    assert np.array_equal(report.table.values, as_array(values, metric, 48))
+    assert np.array_equal(report.visits, visits_array(visits, metric, 48))
+    assert report.final_epsilon == eps
+    assert report.risky_transitions == risky
+
+
 def test_risk_factor_changes_learning():
     params = SystemParams()
     spec_plain = LearningParams(steps=20_000, rho=1.0, a_max=64)
@@ -269,8 +339,7 @@ def test_visit_count_rate_schedule_first_update():
     env = AoiEnv(params, seed=0)
     out = env.step(action)
     # rate = 1/(1+0) = 1, empty bootstrap: the entry becomes the raw cost
-    idx = report.table.index(AoIState(0, 1)) + (action,)
-    assert report.table.values[idx] == out.cost
+    assert report.table.values[0, 1, action] == out.cost
     assert int(report.visits.sum()) == 1
 
 

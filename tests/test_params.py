@@ -5,6 +5,7 @@ import pytest
 from agelab import (
     AoiEnv,
     AoiiEnv,
+    LearningParams,
     QuerySpec,
     RiskSpec,
     SourceSpec,
@@ -23,7 +24,7 @@ def test_default_parameters():
     assert params.beta == 3.0
     assert QuerySpec().q == 0.2
     assert SourceSpec().num_states == 10
-    assert RiskSpec() == RiskSpec(zeta=5, zeta_aoii=3, rho=2.0)
+    assert RiskSpec() == RiskSpec(zeta=5, zeta_aoii=3)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -82,8 +83,15 @@ def test_risk_spec_validation():
         RiskSpec(zeta=0)
     with pytest.raises(ValueError):
         RiskSpec(zeta_aoii=0)
-    with pytest.raises(ValueError):
-        RiskSpec(rho=-1.0)
+
+
+def test_rho_lives_in_the_learning_parameters():
+    """The risky-cost factor has one home; the safety levels do not carry one."""
+    with pytest.raises(TypeError):
+        RiskSpec(rho=2.0)
+    assert LearningParams().rho == 2.0
+    with pytest.raises(ValueError, match="rho must be nonnegative"):
+        LearningParams(rho=-1.0)
 
 
 def test_step_cost_weights_age_and_energy():
