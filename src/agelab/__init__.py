@@ -11,7 +11,6 @@ from .analytic import (
     AnalyticInapplicableError,
     AnalyticResult,
     InfeasibleRiskBudgetError,
-    Tolerance,
     age_frequency,
     attempts_per_period,
     cost_breakdown,

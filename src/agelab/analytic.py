@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .params import SystemParams
 
 __all__ = [
-    "Tolerance",
     "CostBreakdown",
     "AnalyticResult",
     "AnalyticInapplicableError",
@@ -54,26 +53,10 @@ class InfeasibleRiskBudgetError(ValueError):
         self.min_risk = min_risk
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Truncation control for the geometric series.
-
-    tail_tol:  stop once the bounded remaining tail is below this fraction
-               of the accumulated sum
-    min_terms: always evaluate at least this many terms past the threshold
-    """
-
-    tail_tol: float = 1e-12
-    min_terms: int = 10
-
-    def __post_init__(self) -> None:
-        if self.tail_tol <= 0.0:
-            raise ValueError(f"tail_tol must be positive, got {self.tail_tol}")
-        if self.min_terms < 1:
-            raise ValueError(f"min_terms must be at least 1, got {self.min_terms}")
-
-
-DEFAULT_TOL = Tolerance()
+# Series truncation: stop once the bounded remaining tail is below _TAIL_TOL
+# of the accumulated sum, but never before _MIN_TERMS terms past the threshold.
+_TAIL_TOL = 1e-12
+_MIN_TERMS = 10
 
 
 def _check_threshold(n: int) -> None:
@@ -141,12 +124,7 @@ class CostBreakdown:
         return self.age_cost + self.energy_cost
 
 
-def cost_breakdown(
-    n: int,
-    params: SystemParams,
-    q: float | None = None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> CostBreakdown:
+def cost_breakdown(n: int, params: SystemParams, q: float | None = None) -> CostBreakdown:
     """Average age and energy cost per step under threshold n.
 
     With q given, the age component is scaled by the query probability
@@ -169,7 +147,7 @@ def cost_breakdown(
         term = w_r * (period_age_sum(r, params) - r * (r - 1) / 2.0)
         total += term
         terms += 1
-        if r > n + tol.min_terms and term < tol.tail_tol * total:
+        if r > n + _MIN_TERMS and term < _TAIL_TOL * total:
             break
         r += 1
     age_cost = params.alpha * total / length
@@ -179,18 +157,16 @@ def cost_breakdown(
     return CostBreakdown(age_cost, energy_cost, length, attempts_per_period(params), terms)
 
 
-def threshold_cost_aoi(n: int, params: SystemParams, tol: Tolerance = DEFAULT_TOL) -> float:
+def threshold_cost_aoi(n: int, params: SystemParams) -> float:
     """Long-run average cost per step of the threshold-n policy."""
-    return cost_breakdown(n, params, tol=tol).total
+    return cost_breakdown(n, params).total
 
 
-def threshold_cost_qaoi(
-    n: int, params: SystemParams, q: float, tol: Tolerance = DEFAULT_TOL
-) -> float:
+def threshold_cost_qaoi(n: int, params: SystemParams, q: float) -> float:
     """Query-gated average cost; q = 1 reproduces the ungated cost bit for bit."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
-    return cost_breakdown(n, params, q=q, tol=tol).total
+    return cost_breakdown(n, params, q=q).total
 
 
 def reach_probability(r: int, k: int, n: int, params: SystemParams) -> float:
@@ -244,13 +220,7 @@ def age_frequency(k: int, n: int, params: SystemParams) -> float:
     return reach / mean_period_length(n, params)
 
 
-def risky_frequency(
-    n: int,
-    zeta: int,
-    params: SystemParams,
-    tol: Tolerance = DEFAULT_TOL,
-    q: float | None = None,
-) -> float:
+def risky_frequency(n: int, zeta: int, params: SystemParams, q: float | None = None) -> float:
     """Long-run fraction of steps at receiver age >= zeta under threshold n.
 
     Only defined for zeta above the threshold; otherwise the closed form
@@ -275,10 +245,10 @@ def risky_frequency(
     while True:
         term = age_frequency(k, n, params)
         total += term
-        if k >= zeta + tol.min_terms:
+        if k >= zeta + _MIN_TERMS:
             if term == 0.0:
                 break
-            if ratio == 0.0 or term * ratio / (1.0 - ratio) < tol.tail_tol * total:
+            if ratio == 0.0 or term * ratio / (1.0 - ratio) < _TAIL_TOL * total:
                 break
         k += 1
     if q is not None:
@@ -301,27 +271,26 @@ def evaluate_threshold(
     params: SystemParams,
     zeta: int,
     q: float | None = None,
-    tol: Tolerance = DEFAULT_TOL,
     k_max: int | None = None,
 ) -> AnalyticResult:
     """Bundle cost, period statistics and age frequencies for one threshold."""
-    breakdown = cost_breakdown(n, params, q=q, tol=tol)
+    breakdown = cost_breakdown(n, params, q=q)
     if k_max is None:
         k_max = max(n + 8, zeta + 4)
     freq = {k: age_frequency(k, n, params) for k in range(n + 1, k_max + 1)}
     if q is not None:
         freq = {k: q * f for k, f in freq.items()}
-    risky = risky_frequency(n, zeta, params, tol=tol, q=q)
+    risky = risky_frequency(n, zeta, params, q=q)
     return AnalyticResult(threshold=n, breakdown=breakdown, freq=freq, risky_freq=risky)
 
 
-def _cost_function(metric: str, params: SystemParams, q: float | None, tol: Tolerance):
+def _cost_function(metric: str, params: SystemParams, q: float | None):
     if metric == "aoi":
-        return lambda n: threshold_cost_aoi(n, params, tol=tol)
+        return lambda n: threshold_cost_aoi(n, params)
     if metric == "qaoi":
         if q is None:
             raise ValueError("the query-gated cost needs a query probability q")
-        return lambda n: threshold_cost_qaoi(n, params, q, tol=tol)
+        return lambda n: threshold_cost_qaoi(n, params, q)
     raise ValueError(f"no closed-form cost for metric {metric!r}")
 
 
@@ -330,7 +299,6 @@ def optimal_threshold(
     params: SystemParams,
     n_max: int = 64,
     q: float | None = None,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> int:
     """Cost-minimizing send threshold for the plain or query-gated objective.
 
@@ -340,7 +308,7 @@ def optimal_threshold(
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    cost = _cost_function(metric, params, q, tol)
+    cost = _cost_function(metric, params, q)
     best_n = 1
     best_cost = cost(1)
     prev = best_cost
@@ -362,7 +330,6 @@ def risk_constrained_threshold(
     params: SystemParams,
     n_max: int = 64,
     q: float | None = None,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> int:
     """Cheapest threshold whose risky-state frequency stays within the budget.
 
@@ -373,13 +340,13 @@ def risk_constrained_threshold(
     """
     if budget < 0.0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    cost = _cost_function(metric="qaoi" if q is not None else "aoi", params=params, q=q, tol=tol)
+    cost = _cost_function(metric="qaoi" if q is not None else "aoi", params=params, q=q)
     candidates = range(1, min(n_max, zeta - 1) + 1)
     if not candidates:
         raise AnalyticInapplicableError(
             f"no admissible threshold below zeta={zeta} with n_max={n_max}"
         )
-    risks = {n: risky_frequency(n, zeta, params, tol=tol, q=q) for n in candidates}
+    risks = {n: risky_frequency(n, zeta, params, q=q) for n in candidates}
     feasible = [n for n in candidates if risks[n] <= budget]
     if not feasible:
         raise InfeasibleRiskBudgetError(budget, min(risks.values()))

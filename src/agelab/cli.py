@@ -375,10 +375,9 @@ def _comparison_figure(figure: str, metric: str, steps_list: list[int]):
 def _query_sweep_figure(figure: str, q_values: list[float]):
     def run(config: ExperimentConfig, learn_steps: int | None, out_dir: Path) -> list[ResultRow]:
         sweep = query_prob_sweep(q_values, config)
-        # one block per query probability, labelled by q; every row carries
-        # the training length, baselines included
+        # one block per query probability, labelled by q
         rows = [
-            replace(row, param=f"q={point.q:g}", learn_steps=point.comparison.learn_steps)
+            replace(row, param=f"q={point.q:g}")
             for point in sweep.points
             for row in comparison_rows(figure, point.comparison, config)
         ]
@@ -400,7 +399,6 @@ def _query_sweep_figure(figure: str, q_values: list[float]):
 
 FIGURES = {
     "fig3a": _sweep_figure("fig3a", "aoi", list(range(1, 9))),
-    "fig3b": _sweep_figure("fig3b", "aoi", list(range(1, 9))),
     "fig3c": _sweep_figure("fig3c", "qaoi", list(range(1, 9))),
     "fig3d": _sweep_figure("fig3d", "aoii", list(range(0, 7))),
     "fig4": _comparison_figure("fig4", "aoi", [100_000]),

@@ -37,10 +37,6 @@ WAIT: Final[int] = 0
 SEND: Final[int] = 1
 
 
-# Both state types keep the age their metric charges in the second slot.
-AGE: Final[int] = 1
-
-
 class AoIState(NamedTuple):
     """Sender and receiver age of the freshest delivered/held update."""
 
@@ -125,21 +121,16 @@ def uniform_stream(rng: np.random.Generator, block: int = 8192) -> Iterator[floa
 class EventStreams:
     """Independent per-event-type substreams derived from one seed."""
 
-    __slots__ = ("seed_seq", "arrival", "channel", "query", "source")
+    __slots__ = ("arrival", "channel", "query", "source")
 
     def __init__(self, seed: int | np.random.SeedSequence) -> None:
-        if isinstance(seed, np.random.SeedSequence):
-            self.seed_seq = seed
-        else:
-            self.seed_seq = np.random.SeedSequence(seed)
+        if not isinstance(seed, np.random.SeedSequence):
+            seed = np.random.SeedSequence(seed)
         # Children are built by explicit spawn key rather than spawn(), so
         # constructing EventStreams twice from one SeedSequence replays the
         # same substreams (spawn() would advance the parent's child counter).
         arrival, channel, query, source = (
-            np.random.SeedSequence(
-                entropy=self.seed_seq.entropy,
-                spawn_key=self.seed_seq.spawn_key + (i,),
-            )
+            np.random.SeedSequence(entropy=seed.entropy, spawn_key=seed.spawn_key + (i,))
             for i in range(4)
         )
         self.arrival = uniform_stream(np.random.default_rng(arrival))
@@ -171,14 +162,6 @@ class AoiEnv:
         self.metric = "aoi" if query is None else "qaoi"
         self._streams = EventStreams(seed)
         self.state: AoIState = INITIAL_AOI
-        self.steps_taken = 0
-
-    def reset(self) -> AoIState:
-        """Restore the initial state and replay the event streams from the seed."""
-        self._streams = EventStreams(self._streams.seed_seq)
-        self.state = INITIAL_AOI
-        self.steps_taken = 0
-        return self.state
 
     def step(self, action: int) -> StepOutcome:
         params = self.params
@@ -197,7 +180,6 @@ class AoiEnv:
             if not query:
                 age = 0
         self.state = nxt
-        self.steps_taken += 1
         cost = step_cost(age, sent, params)
         return _new(StepOutcome, (nxt, cost, risky, query, sent, sent and channel_ok))
 
@@ -224,13 +206,6 @@ class AoiiEnv:
         self.zeta_aoii = zeta_aoii
         self._streams = EventStreams(seed)
         self.state: AoIIState = INITIAL_AOII
-        self.steps_taken = 0
-
-    def reset(self) -> AoIIState:
-        self._streams = EventStreams(self._streams.seed_seq)
-        self.state = INITIAL_AOII
-        self.steps_taken = 0
-        return self.state
 
     def step(self, action: int) -> StepOutcome:
         params = self.params
@@ -242,32 +217,22 @@ class AoiiEnv:
         nxt = aoii_transition(state, action, source_event, channel_ok)
         age = nxt[1]
         self.state = nxt
-        self.steps_taken += 1
         cost = step_cost(age, sent, params)
         return _new(StepOutcome, (nxt, cost, age >= self.zeta_aoii, False, sent, sent and channel_ok))
 
 
 @dataclass
 class TrajectoryStats:
-    """Aggregates over one simulated trajectory.
-
-    ``age_histogram`` counts the metric's age value of every step outcome,
-    so ``age_histogram[k] / steps`` estimates the long-run frequency of
-    age k.
-    """
+    """Aggregates over one simulated trajectory."""
 
     steps: int
     avg_cost: float
     risky_freq: float
     send_count: int
-    age_histogram: dict[int, int]
-
-    def occupancy(self, k: int) -> float:
-        return self.age_histogram.get(k, 0) / self.steps
 
 
 def run_policy(env: AoiEnv | AoiiEnv, policy: Policy, horizon: int) -> TrajectoryStats:
-    """Roll a policy forward and collect cost, risk and occupancy statistics."""
+    """Roll a policy forward and collect cost, risk and send statistics."""
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     step = env.step
@@ -276,7 +241,6 @@ def run_policy(env: AoiEnv | AoiiEnv, policy: Policy, horizon: int) -> Trajector
     cost_sum = 0.0
     risky_count = 0
     send_count = 0
-    hist: dict[int, int] = {}
     for _ in range(horizon):
         out = step(decide(state))
         state = out.next_state
@@ -285,12 +249,9 @@ def run_policy(env: AoiEnv | AoiiEnv, policy: Policy, horizon: int) -> Trajector
             risky_count += 1
         if out.sent:
             send_count += 1
-        age = state[AGE]
-        hist[age] = hist.get(age, 0) + 1
     return TrajectoryStats(
         steps=horizon,
         avg_cost=cost_sum / horizon,
         risky_freq=risky_count / horizon,
         send_count=send_count,
-        age_histogram=hist,
     )

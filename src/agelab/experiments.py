@@ -17,7 +17,6 @@ import numpy as np
 
 from .analytic import (
     AnalyticInapplicableError,
-    InfeasibleRiskBudgetError,
     optimal_threshold,
     risky_frequency,
     threshold_cost_aoi,
@@ -84,14 +83,12 @@ class ExperimentConfig:
 
     threshold None means: use the analytically optimal threshold for the
     age metrics, or pick the mismatch threshold empirically by a small
-    sweep.  send_prob None means the random baseline sends with the
-    arrival probability.
+    sweep.
     """
 
     env: EnvSpec = EnvSpec()
     learning: LearningParams = LearningParams()
     threshold: int | None = None
-    send_prob: float | None = None
     test_steps: int = 10_000
     runs: int = 100
     base_seed: int = 0
@@ -183,21 +180,11 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Per-threshold statistics, cheapest value and budget feasibility."""
+    """Per-threshold statistics and the cheapest value."""
 
     variable: str
     points: tuple[SweepPoint, ...]
-    budget: float | None
     best_value: int
-    feasible_value: int | None
-
-    def best_feasible(self) -> int:
-        if self.budget is None:
-            return self.best_value
-        if self.feasible_value is None:
-            min_risk = min(p.stats.mean_risky_freq for p in self.points)
-            raise InfeasibleRiskBudgetError(self.budget, min_risk)
-        return self.feasible_value
 
 
 def _threshold_policy(metric: str, value: int) -> Policy:
@@ -206,19 +193,8 @@ def _threshold_policy(metric: str, value: int) -> Policy:
     return ThresholdPolicy(value)
 
 
-def threshold_sweep(
-    metric: str,
-    thresholds: list[int],
-    config: ExperimentConfig,
-    risk_budget: float | None = None,
-) -> SweepResult:
-    """Evaluate threshold policies in ascending order with analytic overlays.
-
-    With a risk budget the ascent stops right after the first threshold
-    whose measured risky frequency exceeds the budget; higher thresholds
-    are only riskier.  The cheapest feasible value is reported, or None
-    when nothing tested fits the budget.
-    """
+def threshold_sweep(metric: str, thresholds: list[int], config: ExperimentConfig) -> SweepResult:
+    """Evaluate threshold policies in ascending order with analytic overlays."""
     if not thresholds:
         raise ValueError("thresholds must be a nonempty list")
     spec = replace(config.env, metric=metric)
@@ -240,20 +216,10 @@ def threshold_sweep(
             except AnalyticInapplicableError:
                 analytic_risky = None
         points.append(SweepPoint(value, stats, analytic_cost, analytic_risky))
-        if risk_budget is not None and stats.mean_risky_freq > risk_budget:
-            break
-    best = min(points, key=lambda p: p.stats.mean_cost).value
-    feasible_value: int | None = None
-    if risk_budget is not None:
-        feasible = [p for p in points if p.stats.mean_risky_freq <= risk_budget]
-        if feasible:
-            feasible_value = min(feasible, key=lambda p: p.stats.mean_cost).value
     return SweepResult(
         variable="theta" if metric == "aoii" else "n",
         points=tuple(points),
-        budget=risk_budget,
-        best_value=best,
-        feasible_value=feasible_value,
+        best_value=min(points, key=lambda p: p.stats.mean_cost).value,
     )
 
 
@@ -303,12 +269,12 @@ def learning_comparison(
 ) -> ComparisonResult:
     """Train both learners fresh per run and evaluate them against baselines.
 
-    Strategies: "random" (sends with the arrival probability unless
-    configured otherwise), "threshold" (fixed benchmark threshold),
-    "qlearn" (plain learner, rho forced to 1), "qlearn_risk" (risk-scaled
-    learner, rho from ``config.learning``) and, for the mismatch metric,
-    "always_send".  The plain and risk-scaled learners share training seeds
-    per run, and all strategies share evaluation seeds per run.
+    Strategies: "random" (sends with the arrival probability), "threshold"
+    (fixed benchmark threshold), "qlearn" (plain learner, rho forced to 1),
+    "qlearn_risk" (risk-scaled learner, rho from ``config.learning``) and,
+    for the mismatch metric, "always_send".  The plain and risk-scaled
+    learners share training seeds per run, and all strategies share
+    evaluation seeds per run.
     """
     spec = replace(config.env, metric=metric)
     eval_ns, pol_ns, train_ns, explore_ns = _namespaces(config.base_seed)
@@ -333,7 +299,7 @@ def learning_comparison(
         known = {"threshold": by_value[threshold], "always_send": by_value[0]}
     else:
         threshold = _baseline_threshold(spec, config)
-    send_prob = config.send_prob if config.send_prob is not None else spec.params.lam
+    send_prob = spec.params.lam
     lp_risk = replace(config.learning, steps=learn_steps)
     lp_plain = replace(lp_risk, rho=1.0)
 

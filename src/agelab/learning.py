@@ -8,7 +8,6 @@ recovers the plain learner exactly, bit for bit under a shared seed.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -94,7 +93,7 @@ class QTable:
         return _wait_slot(self.metric, self.a_max)
 
     def dump_csv(self, path: str | Path) -> None:
-        """Write every grid entry as a CSV row; floats use repr so reloading is exact."""
+        """Write every grid entry as a CSV row; floats use repr so parsing them back is exact."""
         # The rows are what csv.writer writes (no field ever needs quoting),
         # formatted directly and one sender age at a time to bound memory.
         with open(path, "w", newline="") as handle:
@@ -112,32 +111,6 @@ class QTable:
                         f"{tx},{rx},{WAIT},{wait!r}\r\n{tx},{rx},{SEND},{send!r}\r\n"
                         for rx, (wait, send) in enumerate(pairs[1:], start=1)
                     ))
-
-    @classmethod
-    def load_csv(cls, path: str | Path, metric: str | None = None) -> QTable:
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader)
-            rows = [row for row in reader if row]
-        if header[0] == "synced":
-            inferred = "aoii"
-            a_max = max(int(row[1]) for row in rows)
-            table = cls.zeros(inferred, a_max)
-            for _, age, action, value in rows:
-                table.values[int(age), int(action)] = float(value)
-        elif header[0] == "aoi_tx":
-            inferred = "aoi"
-            a_max = max(int(row[0]) for row in rows)
-            table = cls.zeros(inferred, a_max)
-            for tx, rx, action, value in rows:
-                table.values[int(tx), int(rx), int(action)] = float(value)
-        else:
-            raise ValueError(f"unrecognized table header {header!r}")
-        if metric is not None:
-            if metric not in ("aoi", "qaoi", "aoii"):
-                raise ValueError(f"unknown metric {metric!r}")
-            table.metric = metric
-        return table
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .env import SEND, WAIT, AoIIState, AoIState
+from .env import SEND, WAIT, AoIIState, AoIState, uniform_stream
 
 __all__ = [
     "ThresholdPolicy",
@@ -51,19 +51,21 @@ class AoiiThresholdPolicy:
 class RandomPolicy:
     """Send with a fixed probability, ignoring the state.
 
-    The caller supplies the random stream, so seeded comparisons stay
-    reproducible and no hidden global state is involved.
+    The caller supplies the generator, so seeded comparisons stay
+    reproducible and no hidden global state is involved.  The policy reads
+    it a block at a time: each decision uses the value one ``rng.random()``
+    call would give, but the generator is left a block ahead.
     """
 
     def __init__(self, send_prob: float, rng: np.random.Generator) -> None:
         if not 0.0 <= send_prob <= 1.0:
             raise ValueError(f"send_prob must be in [0, 1], got {send_prob}")
         self.send_prob = send_prob
-        self.rng = rng
+        self._uniform = uniform_stream(rng)
         self.name = f"random({send_prob:g})"
 
     def decide(self, state) -> int:
-        return SEND if self.rng.random() < self.send_prob else WAIT
+        return SEND if next(self._uniform) < self.send_prob else WAIT
 
 
 class GreedyPolicy:

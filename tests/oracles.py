@@ -161,6 +161,12 @@ def aoii_long_run(
     return cost, risky
 
 
+def iterate_outcomes(env, policy, horizon: int):
+    """Yield the raw step outcomes of a rollout."""
+    for _ in range(horizon):
+        yield env.step(policy.decide(env.state))
+
+
 def threshold_rule(n: int) -> Callable[[int, int], float]:
     """Send exactly when the sender's packet is n steps fresher."""
 

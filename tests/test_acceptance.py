@@ -6,6 +6,8 @@ strict expected failures: this implementation measurably cannot land in
 them, and the printed lines carry the measured values.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,7 @@ from agelab import (
     train,
 )
 from agelab.strategy import ThresholdPolicy
+from oracles import iterate_outcomes
 
 # the whole module is the slow tier; `pytest -m "not acceptance"` leaves it out
 pytestmark = pytest.mark.acceptance
@@ -96,15 +99,20 @@ def test_accept_2_optimal_thresholds_on_the_default_grid(capsys):
 
 
 def test_accept_3_age_frequencies_match_a_ten_million_step_run(capsys):
-    env = AoiEnv(DEFAULTS, zeta=5, seed=3)
-    stats = run_policy(env, ThresholdPolicy(2), 10_000_000)
+    steps = 10_000_000
+    stats = run_policy(AoiEnv(DEFAULTS, zeta=5, seed=3), ThresholdPolicy(2), steps)
+    # the same events again, counting how often each receiver age is visited
+    visits = Counter(
+        out.next_state.aoi_rx
+        for out in iterate_outcomes(AoiEnv(DEFAULTS, zeta=5, seed=3), ThresholdPolicy(2), steps)
+    )
     gaps = {}
     for k in range(3, 11):
         exact = age_frequency(k, 2, DEFAULTS)
         tol = max(0.1 * exact, 0.002)
-        gaps[k] = (abs(stats.occupancy(k) - exact), tol)
+        gaps[k] = (abs(visits[k] / steps - exact), tol)
     tail_exact = risky_frequency(2, 5, DEFAULTS)
-    tail_measured = sum(stats.occupancy(k) for k in range(5, len(stats.age_histogram)))
+    tail_measured = stats.risky_freq  # steps at age >= zeta = 5
     ok = (
         all(gap <= tol for gap, tol in gaps.values())
         and abs(tail_exact - 0.092) <= 0.02

@@ -15,7 +15,6 @@ from agelab.analytic import (
     AnalyticInapplicableError,
     CostBreakdown,
     InfeasibleRiskBudgetError,
-    Tolerance,
     age_frequency,
     attempts_per_period,
     cost_breakdown,
@@ -141,13 +140,6 @@ def test_cost_breakdown_parts_sum():
     # energy: beta*nu attempts per period, 1/p of them, spread over the length
     assert breakdown.energy_cost == pytest.approx(3.0 / (0.9 * breakdown.period_length))
     assert breakdown.terms >= 2
-
-
-def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        Tolerance(tail_tol=0.0)
-    with pytest.raises(ValueError):
-        Tolerance(min_terms=0)
 
 
 # --- cross-checks against the exact chain --------------------------------

@@ -270,9 +270,10 @@ def test_train_refuses_an_oversized_table(capsys, tmp_path):
 
 
 def test_reproduce_unknown_figure(capsys):
-    code, _, err = run_cli(["reproduce", "fig99"], capsys)
-    assert code == 1
-    assert "unknown figure" in err
+    for figure in ("fig99", "fig3b"):  # fig3b was fig3a under another name
+        code, _, err = run_cli(["reproduce", figure], capsys)
+        assert code == 1
+        assert "unknown figure" in err
 
 
 def test_reproduce_threshold_sweep_outputs(capsys, tmp_path):
@@ -354,30 +355,30 @@ def test_config_file_learn_steps_reaches_comparison_presets(capsys, tmp_path):
     assert (tmp_path / "fig4_risky_500.dat").exists()
 
 
-# fig7's results at a small profile, value for value; in this preset the
-# baseline rows carry the training length too
+# fig7's results at a small profile, value for value; as in the other
+# comparison presets, only the learners' rows carry the training length
 FIG7_CSV = """\
 experiment_id,metric,strategy,param,learn_steps,test_steps,runs,mean_cost,std_cost,mean_risky_freq,std_risky_freq
 fig7,qaoi,qlearn,q=0.2,1500,300,2,18.201666666666668,23.044609998869586,0.18333333333333335,0.05185449728701349
 fig7,qaoi,qlearn_risk,q=0.2,1500,300,2,1.6533333333333333,0.051854497287013426,0.08499999999999999,0.007071067811865472
-fig7,qaoi,random,q=0.2,1500,300,2,2.1883333333333335,0.03064129385141714,0.055,0.002357022603955154
-fig7,qaoi,threshold,q=0.2,1500,300,2,1.435,0.049497474683058366,0.08,0.009428090415820635
+fig7,qaoi,random,q=0.2,,300,2,2.1883333333333335,0.03064129385141714,0.055,0.002357022603955154
+fig7,qaoi,threshold,q=0.2,,300,2,1.435,0.049497474683058366,0.08,0.009428090415820635
 fig7,qaoi,qlearn,q=0.4,1500,300,2,2.3483333333333336,0.1107800623858925,0.15833333333333333,0.02592724864350673
 fig7,qaoi,qlearn_risk,q=0.4,1500,300,2,2.29,0.047140452079103,0.05666666666666667,0.01885618083164127
-fig7,qaoi,random,q=0.4,1500,300,2,2.833333333333333,0.07071067811865482,0.09666666666666668,0.0047140452079103175
-fig7,qaoi,threshold,q=0.4,1500,300,2,2.065,0.0447834294751481,0.065,0.011785113019775794
+fig7,qaoi,random,q=0.4,,300,2,2.833333333333333,0.07071067811865482,0.09666666666666668,0.0047140452079103175
+fig7,qaoi,threshold,q=0.4,,300,2,2.065,0.0447834294751481,0.065,0.011785113019775794
 fig7,qaoi,qlearn,q=0.6,1500,300,2,2.8716666666666666,0.007071067811865324,0.16,0.05656854249492382
 fig7,qaoi,qlearn_risk,q=0.6,1500,300,2,2.825,0.007071067811865638,0.09,0.028284271247461894
-fig7,qaoi,random,q=0.6,1500,300,2,3.4566666666666666,0.004714045207910426,0.1433333333333333,0.009428090415820635
-fig7,qaoi,threshold,q=0.6,1500,300,2,2.6066666666666665,0.07542472332656525,0.09666666666666666,0.02357022603955158
+fig7,qaoi,random,q=0.6,,300,2,3.4566666666666666,0.004714045207910426,0.1433333333333333,0.009428090415820635
+fig7,qaoi,threshold,q=0.6,,300,2,2.6066666666666665,0.07542472332656525,0.09666666666666666,0.02357022603955158
 fig7,qaoi,qlearn,q=0.8,1500,300,2,3.4233333333333333,0.028284271247461926,0.13333333333333333,0.028284271247461894
 fig7,qaoi,qlearn_risk,q=0.8,1500,300,2,3.2366666666666664,0.12256517540566825,0.09833333333333333,0.04478342947514802
-fig7,qaoi,random,q=0.8,1500,300,2,4.1,0.08013876853447535,0.185,0.007071067811865481
-fig7,qaoi,threshold,q=0.8,1500,300,2,3.09,0.10370899457402717,0.07333333333333333,0.03299831645537221
+fig7,qaoi,random,q=0.8,,300,2,4.1,0.08013876853447535,0.185,0.007071067811865481
+fig7,qaoi,threshold,q=0.8,,300,2,3.09,0.10370899457402717,0.07333333333333333,0.03299831645537221
 fig7,qaoi,qlearn,q=1,1500,300,2,4.241666666666667,0.5350441310978211,0.2683333333333333,0.09192388155425116
 fig7,qaoi,qlearn_risk,q=1,1500,300,2,3.855,0.35591041319722866,0.12333333333333334,0.1131370849898476
-fig7,qaoi,random,q=1,1500,300,2,4.641666666666667,0.03535533905932788,0.22,0.004714045207910308
-fig7,qaoi,threshold,q=1,1500,300,2,3.51,0.22156012477178466,0.08499999999999999,0.04006938426723769
+fig7,qaoi,random,q=1,,300,2,4.641666666666667,0.03535533905932788,0.22,0.004714045207910308
+fig7,qaoi,threshold,q=1,,300,2,3.51,0.22156012477178466,0.08499999999999999,0.04006938426723769
 """
 
 

@@ -31,11 +31,7 @@ from agelab.strategy import AoiiThresholdPolicy, RandomPolicy, ThresholdPolicy
 
 import numpy as np
 
-
-def iterate_outcomes(env, policy, horizon):
-    """Yield the raw step outcomes of a rollout."""
-    for _ in range(horizon):
-        yield env.step(policy.decide(env.state))
+from oracles import iterate_outcomes
 
 
 def aoi_next_distribution(state, action, params):
@@ -130,7 +126,6 @@ def test_initial_states():
     assert INITIAL_AOII == AoIIState(True, 0)
     env = AoiEnv(SystemParams(), seed=3)
     assert env.state == INITIAL_AOI
-    assert env.steps_taken == 0
 
 
 def test_env_rejects_bad_safety_level():
@@ -162,17 +157,17 @@ def test_replay_determinism_same_seed():
     outs1 = list(iterate_outcomes(first, policy, 500))
     outs2 = list(iterate_outcomes(second, policy, 500))
     assert outs1 == outs2
-
-
-def test_reset_replays_identically():
-    env = AoiiEnv(SystemParams(), SourceSpec(), seed=9)
+    # Two envs built from one SeedSequence object replay each other too, as
+    # the paired learners' training envs must; building one must not advance
+    # the sequence for the next.
+    seed = np.random.SeedSequence(9).spawn(1)[0]
     policy = AoiiThresholdPolicy(2)
-    outs1 = list(iterate_outcomes(env, policy, 300))
-    env.reset()
-    assert env.state == INITIAL_AOII
-    assert env.steps_taken == 0
-    outs2 = list(iterate_outcomes(env, policy, 300))
+    outs1 = list(iterate_outcomes(AoiiEnv(params, SourceSpec(), seed=seed), policy, 300))
+    outs2 = list(iterate_outcomes(AoiiEnv(params, SourceSpec(), seed=seed), policy, 300))
     assert outs1 == outs2
+    assert outs1 != list(
+        iterate_outcomes(AoiiEnv(params, SourceSpec(), seed=seed.spawn(1)[0]), policy, 300)
+    )
 
 
 @pytest.mark.parametrize("block", [7, 8192])
@@ -262,16 +257,12 @@ def test_run_policy_aggregates_match_manual_replay():
     params = SystemParams()
     env = AoiEnv(params, seed=14)
     stats = run_policy(env, ThresholdPolicy(2), 1000)
-    env.reset()
-    outs = list(iterate_outcomes(env, ThresholdPolicy(2), 1000))
+    outs = list(iterate_outcomes(AoiEnv(params, seed=14), ThresholdPolicy(2), 1000))
     assert stats.steps == 1000
     assert stats.avg_cost == pytest.approx(sum(o.cost for o in outs) / 1000)
     assert stats.risky_freq == pytest.approx(sum(o.risky for o in outs) / 1000)
     assert stats.send_count == sum(o.sent for o in outs)
-    assert sum(stats.age_histogram.values()) == 1000
-    assert stats.occupancy(2) == pytest.approx(
-        sum(o.next_state.aoi_rx == 2 for o in outs) / 1000
-    )
+    assert env.state == outs[-1].next_state
 
 
 def test_run_policy_rejects_empty_horizon():

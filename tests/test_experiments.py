@@ -11,7 +11,6 @@ from agelab import (
     AoiiEnv,
     EnvSpec,
     ExperimentConfig,
-    InfeasibleRiskBudgetError,
     LearningParams,
     QuerySpec,
     RiskSpec,
@@ -105,29 +104,10 @@ def test_threshold_sweep_structure():
     assert sweep.variable == "n"
     assert [point.value for point in sweep.points] == [1, 2, 3]
     assert sweep.best_value == 2
-    assert sweep.budget is None
-    assert sweep.best_feasible() == 2
     for point in sweep.points:
         assert point.analytic_cost is not None
         assert point.stats.mean_cost == pytest.approx(point.analytic_cost, rel=0.1)
         assert point.analytic_risky is not None
-
-
-def test_threshold_sweep_budget_stops_early():
-    # risky frequencies grow with n (0.070, 0.092, 0.138, ...); the first
-    # threshold past the budget ends the scan
-    sweep = threshold_sweep("aoi", [1, 2, 3, 4, 5, 6], FAST, risk_budget=0.11)
-    assert [point.value for point in sweep.points] == [1, 2, 3]
-    assert sweep.feasible_value == 2
-    assert sweep.best_feasible() == 2
-
-
-def test_threshold_sweep_infeasible_budget():
-    sweep = threshold_sweep("aoi", [1, 2, 3], FAST, risk_budget=0.01)
-    assert len(sweep.points) == 1  # nothing past the first violator
-    assert sweep.feasible_value is None
-    with pytest.raises(InfeasibleRiskBudgetError):
-        sweep.best_feasible()
 
 
 def test_threshold_sweep_mismatch_metric_has_no_overlay():
@@ -210,14 +190,12 @@ def test_learning_comparison_respects_overrides():
     config = ExperimentConfig(
         learning=LearningParams(steps=3000, a_max=32),
         threshold=4,
-        send_prob=0.25,
         test_steps=1000,
         runs=2,
         base_seed=1,
     )
     comparison = learning_comparison("aoi", 3000, config)
     assert comparison.threshold == 4
-    assert comparison.send_prob == 0.25
 
 
 def test_query_sweep_points_carry_analytic_optimum():
