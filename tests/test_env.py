@@ -157,13 +157,20 @@ def test_replay_determinism_same_seed():
     outs1 = list(iterate_outcomes(first, policy, 500))
     outs2 = list(iterate_outcomes(second, policy, 500))
     assert outs1 == outs2
-    # Two envs built from one SeedSequence object replay each other too, as
-    # the paired learners' training envs must; building one must not advance
-    # the sequence for the next.
+
+
+def test_reset_replays_identically():
+    # A run restarts by building a new env from the same SeedSequence object,
+    # as the paired learners' training envs do; building one must not advance
+    # the sequence for the next, and each starts from the initial state.
+    params = SystemParams()
     seed = np.random.SeedSequence(9).spawn(1)[0]
     policy = AoiiThresholdPolicy(2)
-    outs1 = list(iterate_outcomes(AoiiEnv(params, SourceSpec(), seed=seed), policy, 300))
-    outs2 = list(iterate_outcomes(AoiiEnv(params, SourceSpec(), seed=seed), policy, 300))
+    env = AoiiEnv(params, SourceSpec(), seed=seed)
+    outs1 = list(iterate_outcomes(env, policy, 300))
+    replay = AoiiEnv(params, SourceSpec(), seed=seed)
+    assert replay.state == INITIAL_AOII
+    outs2 = list(iterate_outcomes(replay, policy, 300))
     assert outs1 == outs2
     assert outs1 != list(
         iterate_outcomes(AoiiEnv(params, SourceSpec(), seed=seed.spawn(1)[0]), policy, 300)
