@@ -133,6 +133,8 @@ def cost_breakdown(n: int, params: SystemParams, q: float | None = None) -> Cost
     geometric tail is negligible.
     """
     _check_threshold(n)
+    if q is not None and not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must be in [0, 1], got {q}")
     length = mean_period_length(n, params)
     a_n = period_age_sum(n, params)
     total = 0.0
@@ -164,8 +166,6 @@ def threshold_cost_aoi(n: int, params: SystemParams) -> float:
 
 def threshold_cost_qaoi(n: int, params: SystemParams, q: float) -> float:
     """Query-gated average cost; q = 1 reproduces the ungated cost bit for bit."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
     return cost_breakdown(n, params, q=q).total
 
 
@@ -284,16 +284,6 @@ def evaluate_threshold(
     return AnalyticResult(threshold=n, breakdown=breakdown, freq=freq, risky_freq=risky)
 
 
-def _cost_function(metric: str, params: SystemParams, q: float | None):
-    if metric == "aoi":
-        return lambda n: threshold_cost_aoi(n, params)
-    if metric == "qaoi":
-        if q is None:
-            raise ValueError("the query-gated cost needs a query probability q")
-        return lambda n: threshold_cost_qaoi(n, params, q)
-    raise ValueError(f"no closed-form cost for metric {metric!r}")
-
-
 def optimal_threshold(
     metric: str,
     params: SystemParams,
@@ -304,17 +294,21 @@ def optimal_threshold(
 
     Scans upward and stops after the cost has risen twice in a row; the
     cost curve is unimodal in n over the supported parameter space.  Ties
-    break toward the smaller threshold.
+    break toward the smaller threshold.  The query probability q goes with
+    the qaoi metric and only with it.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    cost = _cost_function(metric, params, q)
+    if metric not in ("aoi", "qaoi"):
+        raise ValueError(f"no closed-form cost for metric {metric!r}")
+    if (q is not None) != (metric == "qaoi"):
+        raise ValueError(f"q goes with the qaoi metric only (metric={metric!r}, q={q})")
     best_n = 1
-    best_cost = cost(1)
+    best_cost = cost_breakdown(1, params, q=q).total
     prev = best_cost
     rises = 0
     for n in range(2, n_max + 1):
-        value = cost(n)
+        value = cost_breakdown(n, params, q=q).total
         if value < best_cost:
             best_n, best_cost = n, value
         rises = rises + 1 if value > prev else 0
@@ -340,7 +334,6 @@ def risk_constrained_threshold(
     """
     if budget < 0.0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    cost = _cost_function(metric="qaoi" if q is not None else "aoi", params=params, q=q)
     candidates = range(1, min(n_max, zeta - 1) + 1)
     if not candidates:
         raise AnalyticInapplicableError(
@@ -350,5 +343,4 @@ def risk_constrained_threshold(
     feasible = [n for n in candidates if risks[n] <= budget]
     if not feasible:
         raise InfeasibleRiskBudgetError(budget, min(risks.values()))
-    best = min(feasible, key=cost)
-    return best
+    return min(feasible, key=lambda n: cost_breakdown(n, params, q=q).total)

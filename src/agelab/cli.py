@@ -153,10 +153,6 @@ def _experiment_config(args: argparse.Namespace, keys: dict) -> ExperimentConfig
         **given("gamma", "epsilon0", "delta", "epsilon_min", "rho", "a_max", steps="learn_steps"),
         strict_query_cost=args.strict_query_cost,
     )
-    if args.theta is not None:
-        if env.metric != "aoii":
-            raise UsageError("--theta only applies to the aoii metric; use --threshold")
-        keys["threshold"] = args.theta
     return ExperimentConfig(
         env=env,
         learning=learning,
@@ -180,7 +176,6 @@ def _common_flags() -> argparse.ArgumentParser:
     group.add_argument("--config", help="key = value configuration file")
     for key, kind, text in CONFIG_KEYS:
         group.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
-    group.add_argument("--theta", type=int, help="mismatch send threshold (aoii alias)")
     group.add_argument(
         "--strict-query-cost",
         action="store_true",
@@ -241,7 +236,7 @@ def cmd_analytic(args: argparse.Namespace) -> int:
         raise UsageError("no closed form for the mismatch metric; use simulate instead")
     if config.threshold is None:
         raise UsageError("analytic needs --threshold")
-    q = spec.query.q if spec.metric == "qaoi" else None
+    q = spec.q
     result = evaluate_threshold(
         config.threshold, spec.params, spec.risk.zeta, q=q, k_max=args.k_max
     )
@@ -266,7 +261,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     spec = resolve_config(args).env
     if spec.metric == "aoii":
         raise UsageError("no closed form for the mismatch metric; sweep with simulate instead")
-    q = spec.query.q if spec.metric == "qaoi" else None
+    q = spec.q
     budget = args.risk_budget
     if budget is None:
         best = optimal_threshold(spec.metric, spec.params, n_max=args.n_max, q=q)
@@ -289,7 +284,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     spec = config.env
     if spec.metric == "aoii" and config.threshold is None:
-        raise UsageError("simulate needs --threshold (or --theta) for the aoii metric")
+        raise UsageError("simulate needs --threshold for the aoii metric")
     threshold = _baseline_threshold(spec, config)
     policy = _threshold_policy(spec.metric, threshold)
     stats = evaluate(policy, spec, config.test_steps, config.runs, config.base_seed)

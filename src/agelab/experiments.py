@@ -9,7 +9,7 @@ different event sequences.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Iterator, Mapping
 
@@ -17,9 +17,9 @@ import numpy as np
 
 from .analytic import (
     AnalyticInapplicableError,
+    cost_breakdown,
     optimal_threshold,
     risky_frequency,
-    threshold_cost_aoi,
     threshold_cost_qaoi,
 )
 from .env import AoiEnv, AoiiEnv, Policy, run_policy
@@ -70,10 +70,15 @@ class EnvSpec:
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
 
+    @property
+    def q(self) -> float | None:
+        """The query probability that gates the metric; None unless it is qaoi."""
+        return self.query.q if self.metric == "qaoi" else None
+
     def build(self, seed: int | np.random.SeedSequence) -> AoiEnv | AoiiEnv:
         if self.metric == "aoii":
             return AoiiEnv(self.params, self.source, self.risk.zeta_aoii, seed=seed)
-        query = self.query if self.metric == "qaoi" else None
+        query = None if self.q is None else self.query
         return AoiEnv(self.params, self.risk.zeta, query=query, seed=seed)
 
 
@@ -137,7 +142,7 @@ def _namespaces(base_seed: int) -> tuple[np.random.SeedSequence, ...]:
     return tuple(np.random.SeedSequence(base_seed).spawn(4))
 
 
-PolicyLike = Policy | Callable[[np.random.SeedSequence], Policy]
+PolicyLike = Policy | Callable[[int], Policy]
 
 
 def evaluate(
@@ -150,20 +155,18 @@ def evaluate(
     """Run a policy over independent seeded environments and aggregate.
 
     ``policy`` is either a fixed policy reused across runs or a callable
-    that builds one per run from a seed (needed for random policies).  The
-    environment seeds depend only on base_seed and the run index, so two
-    strategies evaluated with the same base seed face identical events.
+    that builds the policy for run index i (a random sender on its own
+    stream, a learner trained for that run).  The environment seeds depend
+    only on base_seed and the run index, so every strategy evaluated with
+    the same base seed faces identical events.
     """
-    eval_ns, pol_ns = _namespaces(base_seed)[:2]
-    env_seeds = eval_ns.spawn(runs)
-    pol_seeds = pol_ns.spawn(runs)
+    env_seeds = _namespaces(base_seed)[0].spawn(runs)
     costs: list[float] = []
     risky: list[float] = []
     send_rates: list[float] = []
-    for i in range(runs):
-        run_policy_obj = policy(pol_seeds[i]) if callable(policy) else policy
-        env = env_spec.build(env_seeds[i])
-        stats = run_policy(env, run_policy_obj, test_steps)
+    for i, env_seed in enumerate(env_seeds):
+        run_policy_obj = policy(i) if callable(policy) else policy
+        stats = run_policy(env_spec.build(env_seed), run_policy_obj, test_steps)
         costs.append(stats.avg_cost)
         risky.append(stats.risky_freq)
         send_rates.append(stats.send_count / stats.steps)
@@ -198,23 +201,18 @@ def threshold_sweep(metric: str, thresholds: list[int], config: ExperimentConfig
     if not thresholds:
         raise ValueError("thresholds must be a nonempty list")
     spec = replace(config.env, metric=metric)
-    params = spec.params
     points: list[SweepPoint] = []
     for value in sorted(thresholds):
         policy = _threshold_policy(metric, value)
         stats = evaluate(policy, spec, config.test_steps, config.runs, config.base_seed)
         analytic_cost: float | None = None
         analytic_risky: float | None = None
-        if metric == "aoi":
-            analytic_cost = threshold_cost_aoi(value, params)
-        elif metric == "qaoi":
-            analytic_cost = threshold_cost_qaoi(value, params, spec.query.q)
         if metric != "aoii":
+            analytic_cost = cost_breakdown(value, spec.params, q=spec.q).total
             try:
-                q = spec.query.q if metric == "qaoi" else None
-                analytic_risky = risky_frequency(value, spec.risk.zeta, params, q=q)
+                analytic_risky = risky_frequency(value, spec.risk.zeta, spec.params, q=spec.q)
             except AnalyticInapplicableError:
-                analytic_risky = None
+                pass
         points.append(SweepPoint(value, stats, analytic_cost, analytic_risky))
     return SweepResult(
         variable="theta" if metric == "aoii" else "n",
@@ -231,8 +229,7 @@ def _baseline_threshold(spec: EnvSpec, config: ExperimentConfig) -> int:
     """
     if config.threshold is not None:
         return config.threshold
-    q = spec.query.q if spec.metric == "qaoi" else None
-    return optimal_threshold(spec.metric, spec.params, q=q)
+    return optimal_threshold(spec.metric, spec.params, q=spec.q)
 
 
 class ComparisonResult(Mapping[str, RunStats]):
@@ -277,17 +274,12 @@ def learning_comparison(
     evaluation seeds per run.
     """
     spec = replace(config.env, metric=metric)
-    eval_ns, pol_ns, train_ns, explore_ns = _namespaces(config.base_seed)
-    runs = config.runs
-    env_seeds = eval_ns.spawn(runs)
-    pol_seeds = pol_ns.spawn(runs)
-    train_seeds = train_ns.spawn(runs)
-    explore_seeds = explore_ns.spawn(runs)
+    _, pol_ns, train_ns, explore_ns = _namespaces(config.base_seed)
+    pol_seeds = pol_ns.spawn(config.runs)
+    train_seeds = train_ns.spawn(config.runs)
+    explore_seeds = explore_ns.spawn(config.runs)
 
-    strategies = ["random", "threshold", "qlearn", "qlearn_risk"]
-    if metric == "aoii":
-        strategies.append("always_send")
-    # Statistics known before the loop.  Without a configured threshold the
+    # Statistics known before any rollout.  Without a configured threshold the
     # aoii baseline is the cheapest one of a small sweep, the way it is tuned
     # by hand.  The sweep runs on the same evaluation seeds, so its points for
     # that threshold and for theta = 0 (always send) are those strategies' results.
@@ -303,32 +295,28 @@ def learning_comparison(
     lp_risk = replace(config.learning, steps=learn_steps)
     lp_plain = replace(lp_risk, rho=1.0)
 
-    tb_policy = _threshold_policy(metric, threshold)
-    rollouts = [name for name in strategies if name not in known]
-    samples: dict[str, tuple[list[float], list[float], list[float]]] = {
-        name: ([], [], []) for name in rollouts
+    def learner(params: LearningParams) -> Callable[[int], Policy]:
+        def trained(i: int) -> Policy:
+            report = train(spec.build(train_seeds[i]), params, explore_seeds[i])
+            return GreedyPolicy(report.table)
+
+        return trained
+
+    # Each strategy's values depend only on its own seeds, so the strategies
+    # can be evaluated one after another.
+    strategies: dict[str, PolicyLike] = {
+        "random": lambda i: RandomPolicy(send_prob, np.random.default_rng(pol_seeds[i])),
+        "threshold": _threshold_policy(metric, threshold),
+        "qlearn": learner(lp_plain),
+        "qlearn_risk": learner(lp_risk),
     }
-    for i in range(runs):
-        plain_report = train(spec.build(train_seeds[i]), lp_plain, explore_seeds[i])
-        risk_report = train(spec.build(train_seeds[i]), lp_risk, explore_seeds[i])
-        policies: dict[str, Policy] = {
-            "random": RandomPolicy(send_prob, np.random.default_rng(pol_seeds[i])),
-            "threshold": tb_policy,
-            "qlearn": GreedyPolicy(plain_report.table),
-            "qlearn_risk": GreedyPolicy(risk_report.table),
-        }
-        if metric == "aoii":
-            policies["always_send"] = AoiiThresholdPolicy(0)
-        for name in rollouts:
-            env = spec.build(env_seeds[i])
-            stats = run_policy(env, policies[name], config.test_steps)
-            costs, risky, send_rates = samples[name]
-            costs.append(stats.avg_cost)
-            risky.append(stats.risky_freq)
-            send_rates.append(stats.send_count / stats.steps)
+    if metric == "aoii":
+        strategies["always_send"] = AoiiThresholdPolicy(0)
     results = {
-        name: known[name] if name in known else RunStats.from_runs(*samples[name])
-        for name in strategies
+        name: known[name]
+        if name in known
+        else evaluate(policy, spec, config.test_steps, config.runs, config.base_seed)
+        for name, policy in strategies.items()
     }
     return ComparisonResult(
         results=results,
@@ -421,19 +409,7 @@ class ResultRow:
         )
 
 
-CSV_COLUMNS = [
-    "experiment_id",
-    "metric",
-    "strategy",
-    "param",
-    "learn_steps",
-    "test_steps",
-    "runs",
-    "mean_cost",
-    "std_cost",
-    "mean_risky_freq",
-    "std_risky_freq",
-]
+CSV_COLUMNS = [f.name for f in fields(ResultRow)]
 
 
 def comparison_rows(
@@ -478,26 +454,14 @@ def sweep_rows(
 
 
 def emit_results(rows: list[ResultRow], path: str | Path) -> None:
-    """Write the results CSV with a fixed column order and repr floats."""
+    """Write the results CSV in ``ResultRow``'s field order.
+
+    csv.writer writes floats as their repr and None as an empty cell.
+    """
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.experiment_id,
-                    row.metric,
-                    row.strategy,
-                    row.param,
-                    "" if row.learn_steps is None else row.learn_steps,
-                    row.test_steps,
-                    row.runs,
-                    repr(row.mean_cost),
-                    repr(row.std_cost),
-                    repr(row.mean_risky_freq),
-                    repr(row.std_risky_freq),
-                ]
-            )
+        writer.writerows(astuple(row) for row in rows)
 
 
 def emit_plot_data(path: str | Path, triples: list[tuple[float, float, float]]) -> None:

@@ -221,7 +221,10 @@ def test_accept_7_mismatch_learning_operating_point(compare_aoii_long, capsys):
 
 @pytest.mark.xfail(
     reason="the plain learner's mismatch cost settles near 1.56 over many seeds, "
-    "several standard errors below the 1.6978 +- 5% target band",
+    "several standard errors below the 1.6978 +- 5% target band. Its greedy tables "
+    "wait at mismatch age 1 in all 20 runs and first send from age 2 in 18 of them "
+    "(age 3 in 2), so it lands near theta = 2's exact cost 1.564 rather than "
+    "theta = 1's 1.460; the rho = 2 learner first sends from age 1 in 19 of 20 runs",
     strict=True,
 )
 def test_accept_7_plain_learner_cost_band(compare_aoii_long, capsys):

@@ -284,6 +284,15 @@ def test_optimal_threshold_validation():
         optimal_threshold("aoii", DEFAULTS)  # no closed form
 
 
+def test_optimal_threshold_refuses_query_probability_for_plain_age():
+    # the query-gated optimum at q = 0.05 is 11, the plain one 2: a q given
+    # with the plain metric must not be dropped silently
+    assert optimal_threshold("qaoi", DEFAULTS, q=0.05) == 11
+    assert optimal_threshold("aoi", DEFAULTS) == 2
+    with pytest.raises(ValueError, match="q goes with the qaoi metric only"):
+        optimal_threshold("aoi", DEFAULTS, q=0.05)
+
+
 def test_risk_constrained_threshold_defaults():
     # generous budget: the cost optimum is feasible
     assert risk_constrained_threshold(1.0, 5, DEFAULTS) == 2

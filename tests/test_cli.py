@@ -155,16 +155,13 @@ def test_simulate_deterministic_limit(capsys, tmp_path):
 def test_simulate_mismatch_metric_needs_theta(capsys):
     code, _, err = run_cli(["simulate", "--metric", "aoii", "--runs", "1"], capsys)
     assert code == 1
-    assert "--theta" in err
+    assert "--threshold" in err
 
 
-def test_theta_alias_only_for_mismatch_metric(capsys, tmp_path):
-    code, _, err = run_cli(["simulate", "--theta", "2", "--runs", "1"], capsys)
-    assert code == 1
-    assert "--theta only applies" in err
+def test_threshold_sets_theta_for_mismatch_metric(capsys):
     code, out, _ = run_cli(
         [
-            "simulate", "--metric", "aoii", "--theta", "1",
+            "simulate", "--metric", "aoii", "--threshold", "1",
             "--runs", "2", "--test-steps", "300",
         ],
         capsys,
@@ -394,3 +391,44 @@ def test_query_sweep_preset_rows_are_pinned(capsys, tmp_path):
     )
     assert code == 0
     assert (tmp_path / "fig7.csv").read_text() == FIG7_CSV
+
+
+# fig8's results at a small profile, value for value: with theta read off
+# the aoii sweep (theta = 1 here, and always_send is the sweep's theta = 0
+# point), and with a configured theta and rho
+FIG8_CSV = """\
+experiment_id,metric,strategy,param,learn_steps,test_steps,runs,mean_cost,std_cost,mean_risky_freq,std_risky_freq
+fig8,aoii,always_send,threshold=0,,300,2,3.0516666666666667,0.0212132034355966,0.0016666666666666668,0.0023570226039551587
+fig8,aoii,qlearn,rho=1,3000,300,2,1.605,0.23334523779156074,0.09999999999999999,0.13670731102939918
+fig8,aoii,qlearn_risk,rho=2,3000,300,2,1.47,0.009428090415820538,0.028333333333333335,0.007071067811865474
+fig8,aoii,random,send_prob=0.5,,300,2,2.208333333333333,0.19563287612827826,0.09666666666666666,0.03299831645537221
+fig8,aoii,threshold,threshold=1,,300,2,1.405,0.049497474683058214,0.006666666666666667,0.004714045207910317
+"""
+FIG8_THETA2_RHO3_CSV = """\
+experiment_id,metric,strategy,param,learn_steps,test_steps,runs,mean_cost,std_cost,mean_risky_freq,std_risky_freq
+fig8,aoii,always_send,threshold=0,,300,2,3.0516666666666667,0.0212132034355966,0.0016666666666666668,0.0023570226039551587
+fig8,aoii,qlearn,rho=1,3000,300,2,1.605,0.23334523779156074,0.09999999999999999,0.13670731102939918
+fig8,aoii,qlearn_risk,rho=3,3000,300,2,1.405,0.049497474683058214,0.006666666666666667,0.004714045207910317
+fig8,aoii,random,send_prob=0.5,,300,2,2.208333333333333,0.19563287612827826,0.09666666666666666,0.03299831645537221
+fig8,aoii,threshold,threshold=2,,300,2,1.48,0.0235702260395515,0.018333333333333333,0.007071067811865475
+"""
+
+
+@pytest.mark.parametrize(
+    "extra, expected",
+    [([], FIG8_CSV), (["--threshold", "2", "--rho", "3"], FIG8_THETA2_RHO3_CSV)],
+    ids=["swept_theta", "theta2_rho3"],
+)
+def test_mismatch_comparison_preset_rows_are_pinned(capsys, tmp_path, extra, expected):
+    code, _, _ = run_cli(
+        [
+            "reproduce", "fig8",
+            "--learn-steps", "3000", "--a-max", "16",
+            "--runs", "2", "--test-steps", "300", "--seed", "7",
+            *extra,
+            "--out-dir", str(tmp_path),
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert (tmp_path / "fig8.csv").read_text() == expected

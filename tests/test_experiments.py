@@ -23,6 +23,7 @@ from agelab import (
 from agelab.experiments import (
     CSV_COLUMNS,
     RunStats,
+    _namespaces,
     comparison_rows,
     emit_plot_data,
     emit_results,
@@ -30,7 +31,8 @@ from agelab.experiments import (
     query_prob_sweep,
     sweep_rows,
 )
-from agelab.strategy import AoiiThresholdPolicy, RandomPolicy, ThresholdPolicy
+from agelab.learning import train
+from agelab.strategy import AoiiThresholdPolicy, GreedyPolicy, RandomPolicy, ThresholdPolicy
 
 FAST = ExperimentConfig(
     learning=LearningParams(steps=3000, a_max=32),
@@ -88,15 +90,30 @@ def test_evaluate_is_deterministic():
 
 def test_evaluate_policy_factory_gets_per_run_seeds():
     spec = EnvSpec("aoi")
+    seeds = np.random.SeedSequence(3).spawn(4)
 
-    def factory(seed):
-        return RandomPolicy(0.5, np.random.default_rng(seed))
+    def factory(i):
+        return RandomPolicy(0.5, np.random.default_rng(seeds[i]))
 
     a = evaluate(factory, spec, test_steps=1500, runs=4, base_seed=9)
     b = evaluate(factory, spec, test_steps=1500, runs=4, base_seed=9)
     assert a == b
     # distinct per-run streams: not all runs produce identical costs
     assert len(set(a.costs)) > 1
+
+    # a comparison's learners are such factories: one greedy policy per run,
+    # trained on that run's training and exploration seeds
+    comparison = learning_comparison("aoi", 3000, FAST)
+    _, _, train_ns, explore_ns = _namespaces(FAST.base_seed)
+    train_seeds, explore_seeds = train_ns.spawn(FAST.runs), explore_ns.spawn(FAST.runs)
+    plain = replace(FAST.learning, steps=3000, rho=1.0)
+
+    def learner(i):
+        report = train(spec.build(train_seeds[i]), plain, explore_seeds[i])
+        return GreedyPolicy(report.table)
+
+    direct = evaluate(learner, spec, FAST.test_steps, FAST.runs, FAST.base_seed)
+    assert comparison["qlearn"] == direct
 
 
 def test_threshold_sweep_structure():
