@@ -124,16 +124,15 @@ class CostBreakdown:
         return self.age_cost + self.energy_cost
 
 
-def cost_breakdown(n: int, params: SystemParams, q: float | None = None) -> CostBreakdown:
+def cost_breakdown(n: int, params: SystemParams, q: float = 1.0) -> CostBreakdown:
     """Average age and energy cost per step under threshold n.
 
-    With q given, the age component is scaled by the query probability
-    while the energy component is unchanged, which is the query-gated
-    objective.  The per-opening-age series is truncated once its bounded
-    geometric tail is negligible.
+    The age component is scaled by the query probability q while the
+    energy component is not; q = 1 is the plain age.  The per-opening-age
+    series is truncated once its bounded geometric tail is negligible.
     """
     _check_threshold(n)
-    if q is not None and not 0.0 <= q <= 1.0:
+    if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
     length = mean_period_length(n, params)
     a_n = period_age_sum(n, params)
@@ -152,9 +151,7 @@ def cost_breakdown(n: int, params: SystemParams, q: float | None = None) -> Cost
         if r > n + _MIN_TERMS and term < _TAIL_TOL * total:
             break
         r += 1
-    age_cost = params.alpha * total / length
-    if q is not None:
-        age_cost *= q
+    age_cost = params.alpha * total / length * q
     energy_cost = params.beta * params.nu / (params.p * length)
     return CostBreakdown(age_cost, energy_cost, length, attempts_per_period(params), terms)
 
@@ -220,13 +217,12 @@ def age_frequency(k: int, n: int, params: SystemParams) -> float:
     return reach / mean_period_length(n, params)
 
 
-def risky_frequency(n: int, zeta: int, params: SystemParams, q: float | None = None) -> float:
-    """Long-run fraction of steps at receiver age >= zeta under threshold n.
+def risky_frequency(n: int, zeta: int, params: SystemParams, q: float = 1.0) -> float:
+    """Long-run fraction of (query) steps at receiver age >= zeta under threshold n.
 
     Only defined for zeta above the threshold; otherwise the closed form
     does not apply and the simulation estimator must be used instead.
-    With q given the frequency counts query steps only, which scales the
-    ungated value by q.
+    Counting query steps only scales the plain (q = 1) value by q.
     """
     _check_threshold(n)
     if zeta <= n:
@@ -234,7 +230,7 @@ def risky_frequency(n: int, zeta: int, params: SystemParams, q: float | None = N
             f"risky frequency in closed form needs zeta > n (zeta={zeta}, n={n}); "
             "use the simulation estimator instead"
         )
-    if q is not None and not 0.0 <= q <= 1.0:
+    if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
     # A period at age k >= n dies that step only through a delivery, which
     # needs an armed sender, so one-step survival is at least lam * p below
@@ -251,9 +247,7 @@ def risky_frequency(n: int, zeta: int, params: SystemParams, q: float | None = N
             if ratio == 0.0 or term * ratio / (1.0 - ratio) < _TAIL_TOL * total:
                 break
         k += 1
-    if q is not None:
-        total *= q
-    return total
+    return total * q
 
 
 @dataclass(frozen=True)
@@ -270,39 +264,27 @@ def evaluate_threshold(
     n: int,
     params: SystemParams,
     zeta: int,
-    q: float | None = None,
+    q: float = 1.0,
     k_max: int | None = None,
 ) -> AnalyticResult:
     """Bundle cost, period statistics and age frequencies for one threshold."""
     breakdown = cost_breakdown(n, params, q=q)
     if k_max is None:
         k_max = max(n + 8, zeta + 4)
-    freq = {k: age_frequency(k, n, params) for k in range(n + 1, k_max + 1)}
-    if q is not None:
-        freq = {k: q * f for k, f in freq.items()}
+    freq = {k: q * age_frequency(k, n, params) for k in range(n + 1, k_max + 1)}
     risky = risky_frequency(n, zeta, params, q=q)
     return AnalyticResult(threshold=n, breakdown=breakdown, freq=freq, risky_freq=risky)
 
 
-def optimal_threshold(
-    metric: str,
-    params: SystemParams,
-    n_max: int = 64,
-    q: float | None = None,
-) -> int:
-    """Cost-minimizing send threshold for the plain or query-gated objective.
+def optimal_threshold(params: SystemParams, n_max: int = 64, q: float = 1.0) -> int:
+    """Cost-minimizing send threshold under query probability q (1 = plain age).
 
     Scans upward and stops after the cost has risen twice in a row; the
     cost curve is unimodal in n over the supported parameter space.  Ties
-    break toward the smaller threshold.  The query probability q goes with
-    the qaoi metric and only with it.
+    break toward the smaller threshold.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    if metric not in ("aoi", "qaoi"):
-        raise ValueError(f"no closed-form cost for metric {metric!r}")
-    if (q is not None) != (metric == "qaoi"):
-        raise ValueError(f"q goes with the qaoi metric only (metric={metric!r}, q={q})")
     best_n = 1
     best_cost = cost_breakdown(1, params, q=q).total
     prev = best_cost
@@ -323,7 +305,7 @@ def risk_constrained_threshold(
     zeta: int,
     params: SystemParams,
     n_max: int = 64,
-    q: float | None = None,
+    q: float = 1.0,
 ) -> int:
     """Cheapest threshold whose risky-state frequency stays within the budget.
 
@@ -332,7 +314,7 @@ def risk_constrained_threshold(
     the budget an explicit infeasibility error reports the minimum
     achievable risk.
     """
-    if budget < 0.0:
+    if not budget >= 0.0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     candidates = range(1, min(n_max, zeta - 1) + 1)
     if not candidates:

@@ -150,8 +150,7 @@ def _experiment_config(args: argparse.Namespace, keys: dict) -> ExperimentConfig
         source=SourceSpec(**given("num_states", "p_r")),
     )
     learning = LearningParams(
-        **given("gamma", "epsilon0", "delta", "epsilon_min", "rho", "a_max", steps="learn_steps"),
-        strict_query_cost=args.strict_query_cost,
+        **given("gamma", "epsilon0", "delta", "epsilon_min", "rho", "a_max", steps="learn_steps")
     )
     return ExperimentConfig(
         env=env,
@@ -176,11 +175,6 @@ def _common_flags() -> argparse.ArgumentParser:
     group.add_argument("--config", help="key = value configuration file")
     for key, kind, text in CONFIG_KEYS:
         group.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
-    group.add_argument(
-        "--strict-query-cost",
-        action="store_true",
-        help="zero the whole step cost on non-query steps while learning (qaoi)",
-    )
     return common
 
 
@@ -236,14 +230,13 @@ def cmd_analytic(args: argparse.Namespace) -> int:
         raise UsageError("no closed form for the mismatch metric; use simulate instead")
     if config.threshold is None:
         raise UsageError("analytic needs --threshold")
-    q = spec.q
     result = evaluate_threshold(
-        config.threshold, spec.params, spec.risk.zeta, q=q, k_max=args.k_max
+        config.threshold, spec.params, spec.risk.zeta, q=spec.q, k_max=args.k_max
     )
     breakdown = result.breakdown
     label = f"{spec.metric} threshold {config.threshold}"
-    if q is not None:
-        label += f", q={q:g}"
+    if spec.metric == "qaoi":
+        label += f", q={spec.q:g}"
     print(label)
     print(f"average cost        {breakdown.total!r}")
     print(f"  age part          {breakdown.age_cost!r}")
@@ -264,7 +257,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     q = spec.q
     budget = args.risk_budget
     if budget is None:
-        best = optimal_threshold(spec.metric, spec.params, n_max=args.n_max, q=q)
+        best = optimal_threshold(spec.params, n_max=args.n_max, q=q)
         print(f"optimal threshold: {best}")
     else:
         best = risk_constrained_threshold(

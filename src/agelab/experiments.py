@@ -71,14 +71,14 @@ class EnvSpec:
             raise ValueError(f"unknown metric {self.metric!r}")
 
     @property
-    def q(self) -> float | None:
-        """The query probability that gates the metric; None unless it is qaoi."""
-        return self.query.q if self.metric == "qaoi" else None
+    def q(self) -> float:
+        """The query probability that gates the metric; 1 (ungated) unless it is qaoi."""
+        return self.query.q if self.metric == "qaoi" else 1.0
 
     def build(self, seed: int | np.random.SeedSequence) -> AoiEnv | AoiiEnv:
         if self.metric == "aoii":
             return AoiiEnv(self.params, self.source, self.risk.zeta_aoii, seed=seed)
-        query = None if self.q is None else self.query
+        query = self.query if self.metric == "qaoi" else None
         return AoiEnv(self.params, self.risk.zeta, query=query, seed=seed)
 
 
@@ -160,6 +160,8 @@ def evaluate(
     only on base_seed and the run index, so every strategy evaluated with
     the same base seed faces identical events.
     """
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
     env_seeds = _namespaces(base_seed)[0].spawn(runs)
     costs: list[float] = []
     risky: list[float] = []
@@ -229,7 +231,9 @@ def _baseline_threshold(spec: EnvSpec, config: ExperimentConfig) -> int:
     """
     if config.threshold is not None:
         return config.threshold
-    return optimal_threshold(spec.metric, spec.params, q=spec.q)
+    if spec.metric == "aoii":
+        raise ValueError("the aoii metric has no closed-form optimum; give a threshold")
+    return optimal_threshold(spec.params, q=spec.q)
 
 
 class ComparisonResult(Mapping[str, RunStats]):
@@ -354,7 +358,7 @@ def query_prob_sweep(q_values: list[float], config: ExperimentConfig) -> QuerySw
         spec = replace(config.env, metric="qaoi", query=QuerySpec(q))
         cfg = replace(config, env=spec)
         comparison = learning_comparison("qaoi", config.learning.steps, cfg)
-        best_n = optimal_threshold("qaoi", spec.params, q=q)
+        best_n = optimal_threshold(spec.params, q=q)
         points.append(
             QuerySweepPoint(
                 q=q,

@@ -118,9 +118,7 @@ class LearningParams:
     """Hyperparameters of the tabular learner.
 
     rate is the constant learning rate; when rate_power is set the learner
-    instead uses 1 / (1 + visits(s, a)) ** rate_power per pair.  With
-    strict_query_cost the whole step cost (not just the age term) is zeroed
-    on non-query steps of the query-gated metric.
+    instead uses 1 / (1 + visits(s, a)) ** rate_power per pair.
     """
 
     steps: int = 100_000
@@ -132,7 +130,6 @@ class LearningParams:
     rate_power: float | None = None
     rho: float = 2.0
     a_max: int = 128
-    strict_query_cost: bool = False
 
     def __post_init__(self) -> None:
         if self.steps < 1:
@@ -147,9 +144,9 @@ class LearningParams:
             raise ValueError(f"epsilon_min must be in [0, 1], got {self.epsilon_min}")
         if not 0.0 < self.rate <= 1.0:
             raise ValueError(f"rate must be in (0, 1], got {self.rate}")
-        if self.rate_power is not None and self.rate_power <= 0.0:
+        if self.rate_power is not None and not self.rate_power > 0.0:
             raise ValueError(f"rate_power must be positive, got {self.rate_power}")
-        if self.rho < 0.0:
+        if not self.rho >= 0.0:
             raise ValueError(f"rho must be nonnegative, got {self.rho}")
         _check_a_max(self.a_max)
 
@@ -194,7 +191,6 @@ def train(
     epsilon0 = params.epsilon0
     delta = params.delta
     epsilon_min = params.epsilon_min
-    strict = params.strict_query_cost and metric == "qaoi"
     trace_every = max(1, params.steps // 10)
     step = env.step
     here = slot_of(env.state)
@@ -211,8 +207,6 @@ def train(
             eps = epsilon_min
         out = step(action)
         cost = out.cost
-        if strict and not out.query:
-            cost = 0.0
         if out.risky:
             risky_seen += 1
             cost = rho * cost

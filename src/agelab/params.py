@@ -50,7 +50,7 @@ class SystemParams:
             raise ValueError(f"lam must be in (0, 1], got {self.lam}")
         for name in ("nu", "alpha", "beta"):
             value = getattr(self, name)
-            if value < 0.0:
+            if not value >= 0.0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
 
 

@@ -82,7 +82,7 @@ def aoi_long_run(
     params: SystemParams,
     zeta: int,
     cap: int = 120,
-    q: float | None = None,
+    q: float = 1.0,
 ) -> tuple[float, float]:
     """(average cost, risky frequency) under the stationary distribution.
 
@@ -95,9 +95,8 @@ def aoi_long_run(
     mean_age = sum(w * rx for (tx, rx), w in pi.items())
     send_frac = sum(w * send_rule(tx, rx) for (tx, rx), w in pi.items())
     risky = sum(w for (tx, rx), w in pi.items() if rx >= zeta)
-    gate = 1.0 if q is None else q
-    cost = params.alpha * gate * mean_age + params.beta * params.nu * send_frac
-    return cost, gate * risky
+    cost = params.alpha * q * mean_age + params.beta * params.nu * send_frac
+    return cost, q * risky
 
 
 def aoi_age_marginal(

@@ -89,8 +89,8 @@ def test_accept_1_closed_form_cost_matches_long_simulation(capsys):
 
 
 def test_accept_2_optimal_thresholds_on_the_default_grid(capsys):
-    plain = optimal_threshold("aoi", DEFAULTS)
-    gated = {q: optimal_threshold("qaoi", DEFAULTS, q=q) for q in (0.2, 0.4, 0.6, 0.8)}
+    plain = optimal_threshold(DEFAULTS)
+    gated = {q: optimal_threshold(DEFAULTS, q=q) for q in (0.2, 0.4, 0.6, 0.8)}
     expected = {0.2: 5, 0.4: 3, 0.6: 3, 0.8: 2}
     ok = plain == 2 and gated == expected
     announce(capsys, 2, ok, f"age optimum n={plain}, query optima {gated}")

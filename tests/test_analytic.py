@@ -258,12 +258,14 @@ def test_risky_frequency_nondecreasing_in_threshold():
 
 
 def test_optimal_threshold_defaults():
-    assert optimal_threshold("aoi", DEFAULTS) == 2
+    assert optimal_threshold(DEFAULTS) == 2
 
 
-@pytest.mark.parametrize("q,expected", [(0.2, 5), (0.4, 3), (0.6, 3), (0.8, 2), (1.0, 2)])
+@pytest.mark.parametrize(
+    "q,expected", [(0.05, 11), (0.2, 5), (0.4, 3), (0.6, 3), (0.8, 2), (1.0, 2)]
+)
 def test_optimal_threshold_query_grid(q, expected):
-    assert optimal_threshold("qaoi", DEFAULTS, q=q) == expected
+    assert optimal_threshold(DEFAULTS, q=q) == expected
 
 
 @pytest.mark.parametrize("lam", [0.3, 0.5, 0.8])
@@ -272,25 +274,27 @@ def test_optimal_threshold_matches_full_scan(lam, p):
     params = SystemParams(p=p, lam=lam)
     costs = {n: threshold_cost_aoi(n, params) for n in range(1, 65)}
     brute = min(costs, key=costs.get)
-    assert optimal_threshold("aoi", params) == brute
+    assert optimal_threshold(params) == brute
+
+
+@settings(deadline=None)
+@given(
+    p=st.floats(min_value=0.05, max_value=1.0),
+    lam=st.floats(min_value=0.05, max_value=1.0),
+    q=st.floats(min_value=0.01, max_value=1.0),
+)
+def test_optimal_threshold_is_the_exhaustive_argmin(p, lam, q):
+    """The early-stopping scan finds the first minimum over all of n = 1..64."""
+    params = SystemParams(p=p, lam=lam)
+    costs = [cost_breakdown(n, params, q=q).total for n in range(1, 65)]
+    assert optimal_threshold(params, q=q) == 1 + costs.index(min(costs))
 
 
 def test_optimal_threshold_validation():
     with pytest.raises(ValueError):
-        optimal_threshold("aoi", DEFAULTS, n_max=0)
-    with pytest.raises(ValueError):
-        optimal_threshold("qaoi", DEFAULTS)  # needs q
-    with pytest.raises(ValueError):
-        optimal_threshold("aoii", DEFAULTS)  # no closed form
-
-
-def test_optimal_threshold_refuses_query_probability_for_plain_age():
-    # the query-gated optimum at q = 0.05 is 11, the plain one 2: a q given
-    # with the plain metric must not be dropped silently
-    assert optimal_threshold("qaoi", DEFAULTS, q=0.05) == 11
-    assert optimal_threshold("aoi", DEFAULTS) == 2
-    with pytest.raises(ValueError, match="q goes with the qaoi metric only"):
-        optimal_threshold("aoi", DEFAULTS, q=0.05)
+        optimal_threshold(DEFAULTS, n_max=0)
+    with pytest.raises(ValueError, match="q must be in"):
+        optimal_threshold(DEFAULTS, q=1.5)
 
 
 def test_risk_constrained_threshold_defaults():
@@ -311,8 +315,10 @@ def test_risk_constrained_threshold_infeasible():
 def test_risk_constrained_threshold_no_candidates():
     with pytest.raises(AnalyticInapplicableError):
         risk_constrained_threshold(0.5, 1, DEFAULTS)
-    with pytest.raises(ValueError):
-        risk_constrained_threshold(-0.1, 5, DEFAULTS)
+    # a nan budget is refused too, not reported as infeasible
+    for budget in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            risk_constrained_threshold(budget, 5, DEFAULTS)
 
 
 def test_risk_constrained_threshold_query_gated():

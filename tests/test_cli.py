@@ -71,6 +71,32 @@ def test_analytic_reports_closed_form_values(capsys):
     assert "0.09208620689650669" in out
 
 
+# the query-gated report at the default parameters, line for line
+ANALYTIC_QAOI_3 = """\
+qaoi threshold 3, q=0.2
+average cost        1.3886447805686735
+  age part          0.5673457592833405
+  energy part       0.821299021285333
+period length       4.0586111111111105
+attempts per period 1.1111111111111112
+age frequencies:
+    4  0.027105332
+    5  0.013799610
+    6  0.006924499
+    7  0.003464719
+    8  0.001732607
+    9  0.000866328
+   10  0.000433166
+   11  0.000216583
+risky frequency (age >= 5): 0.02765409622885559
+"""
+
+
+def test_analytic_query_report_is_pinned(capsys):
+    code, out, err = run_cli(["analytic", "--metric", "qaoi", "--threshold", "3"], capsys)
+    assert (code, out, err) == (0, ANALYTIC_QAOI_3, "")
+
+
 def test_analytic_k_max_extends_the_table(capsys):
     code, out, _ = run_cli(["analytic", "--threshold", "2", "--k-max", "15"], capsys)
     assert code == 0
@@ -101,6 +127,29 @@ def test_bad_parameter_value_is_a_usage_failure(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train", "--rho", "nan", "--learn-steps", "10"], "rho must be nonnegative, got nan"),
+        (["analytic", "--threshold", "2", "--alpha", "nan"], "alpha must be nonnegative, got nan"),
+        (["optimize", "--nu", "nan"], "nu must be nonnegative, got nan"),
+        (["optimize", "--risk-budget", "nan"], "budget must be nonnegative, got nan"),
+    ],
+    ids=["train_rho", "analytic_alpha", "optimize_nu", "optimize_risk_budget"],
+)
+def test_nan_values_are_usage_failures(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not any(tmp_path.iterdir())  # no value table written
+
+
+def test_removed_query_cost_flag_is_rejected(capsys):
+    code, _, err = run_cli(["train", "--metric", "qaoi", "--strict-query-cost"], capsys)
+    assert code == 1
+    assert "unrecognized arguments: --strict-query-cost" in err
+
+
 # optimize
 
 
@@ -120,6 +169,16 @@ def test_optimize_under_budget(capsys):
     code, out, _ = run_cli(["optimize", "--risk-budget", "0.08"], capsys)
     assert code == 0
     assert "under risk budget 0.08: 1" in out
+
+
+def test_optimize_query_metric_under_budget_is_pinned(capsys):
+    code, out, err = run_cli(["optimize", "--metric", "qaoi", "--risk-budget", "0.02"], capsys)
+    assert code == 0 and err == ""
+    assert out == (
+        "optimal threshold under risk budget 0.02: 2\n"
+        "average cost     1.5732204073401899\n"
+        "risky frequency  0.018417241379301338\n"
+    )
 
 
 def test_optimize_infeasible_budget_exits_two(capsys):
@@ -292,6 +351,60 @@ def test_reproduce_threshold_sweep_outputs(capsys, tmp_path):
     costs = {int(line.split()[0]): float(line.split()[1]) for line in overlay}
     assert min(costs, key=costs.get) == 2
     assert (tmp_path / "fig3a_risky.dat").exists()
+
+
+# The analytic overlays of the plain and query-gated sweeps, byte for byte.
+# They depend only on the default parameters, not on the seed or run profile.
+SWEEP_OVERLAYS = {
+    "fig3a_cost_analytic.dat": """\
+# x y yerr
+1 3.6900584795321603 0.0
+2 3.5103851582980443 0.0
+3 3.6580278177020356 0.0
+4 3.945248465556749 0.0
+5 4.302738984393863 0.0
+6 4.700610966562256 0.0
+7 5.123829773199345 0.0
+8 5.564000921196207 0.0
+""",
+    "fig3a_risky_analytic.dat": """\
+# x y yerr
+1 0.07029999999996324 0.0
+2 0.09208620689650669 0.0
+3 0.13827048114427795 0.0
+4 0.21965412906244597 0.0
+""",
+    "fig3c_cost_analytic.dat": """\
+# x y yerr
+1 2.001169590643274 0.0
+2 1.5732204073401899 0.0
+3 1.3886447805686735 0.0
+4 1.316216637547405 0.0
+5 1.3007022131348673 0.0
+6 1.317918381330221 0.0
+7 1.3556803232563168 0.0
+8 1.4071836574464267 0.0
+""",
+    "fig3c_risky_analytic.dat": """\
+# x y yerr
+1 0.014059999999992648 0.0
+2 0.018417241379301338 0.0
+3 0.02765409622885559 0.0
+4 0.043930825812489194 0.0
+""",
+}
+
+
+@pytest.mark.parametrize("figure", ["fig3a", "fig3c"])
+def test_sweep_analytic_overlays_are_pinned(capsys, tmp_path, figure):
+    code, _, _ = run_cli(
+        ["reproduce", figure, "--runs", "1", "--test-steps", "50", "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    for name, text in SWEEP_OVERLAYS.items():
+        if name.startswith(figure):
+            assert (tmp_path / name).read_bytes() == text.encode()
 
 
 def test_reproduce_comparison_accepts_step_override(capsys, tmp_path):

@@ -23,6 +23,7 @@ from agelab import (
 from agelab.experiments import (
     CSV_COLUMNS,
     RunStats,
+    _baseline_threshold,
     _namespaces,
     comparison_rows,
     emit_plot_data,
@@ -43,7 +44,9 @@ FAST = ExperimentConfig(
 
 
 def test_env_spec_builds_each_metric():
-    assert isinstance(EnvSpec("aoi").build(0), AoiEnv)
+    plain = EnvSpec("aoi").build(0)
+    assert isinstance(plain, AoiEnv)
+    assert plain.metric == "aoi" and plain.query is None
     gated = EnvSpec("qaoi").build(0)
     assert gated.metric == "qaoi"
     assert gated.query.q == 0.2
@@ -52,6 +55,8 @@ def test_env_spec_builds_each_metric():
     assert mismatch.source.num_states == 10
     with pytest.raises(ValueError):
         EnvSpec("foo")
+    # the query gate: 1 (ungated) unless the metric is qaoi
+    assert [EnvSpec(metric).q for metric in ("aoi", "qaoi", "aoii")] == [1.0, 0.2, 1.0]
 
 
 def test_experiment_config_validation():
@@ -79,6 +84,18 @@ def test_evaluate_exact_in_deterministic_limit():
     assert stats.std_cost == 0.0
     assert stats.mean_risky_freq == 0.0
     assert stats.mean_send_rate == 1.0
+
+
+def test_evaluate_needs_a_run():
+    with pytest.raises(ValueError, match="runs must be at least 1, got 0"):
+        evaluate(ThresholdPolicy(1), EnvSpec("aoi"), test_steps=10, runs=0)
+
+
+def test_baseline_threshold_of_the_mismatch_metric_must_be_given():
+    spec = EnvSpec("aoii")
+    assert _baseline_threshold(spec, ExperimentConfig(env=spec, threshold=2)) == 2
+    with pytest.raises(ValueError, match="no closed-form optimum"):
+        _baseline_threshold(spec, ExperimentConfig(env=spec))
 
 
 def test_evaluate_is_deterministic():

@@ -28,13 +28,12 @@ from agelab.strategy import GreedyPolicy
 
 def textbook_qlearning(env, steps, seed, gamma=0.7, epsilon0=0.9, delta=0.999,
                        epsilon_min=0.0, rate=0.1, a_max=128, rho=1.0, rate_power=None,
-                       strict_query_cost=False, visits=None):
+                       visits=None):
     """Epsilon-greedy tabular Q-learning, dict-backed; the cost of a
     transition landing in a risky state is multiplied by rho.
 
-    With rate_power the rate of a pair is 1 / (1 + visits so far) ** rate_power;
-    with strict_query_cost a non-query step costs nothing.  Visit counts go
-    into ``visits`` when a dict is given.
+    With rate_power the rate of a pair is 1 / (1 + visits so far) ** rate_power.
+    Visit counts go into ``visits`` when a dict is given.
     """
     rng = np.random.default_rng(seed)
     values: dict[tuple, list[float]] = {}
@@ -61,8 +60,6 @@ def textbook_qlearning(env, steps, seed, gamma=0.7, epsilon0=0.9, delta=0.999,
         eps = max(epsilon_min, epsilon0 * delta**i)
         out = env.step(action)
         cost = out.cost
-        if strict_query_cost and env.metric == "qaoi" and not out.query:
-            cost = 0.0
         if out.risky:
             risky_count += 1
             cost = rho * cost
@@ -188,7 +185,9 @@ def test_qtable_dump_is_deterministic(tmp_path):
     ("rate", 0.0),
     ("rate", 1.5),
     ("rate_power", 0.0),
+    ("rate_power", float("nan")),
     ("rho", -1.0),
+    ("rho", float("nan")),
     ("a_max", 1),
 ])
 def test_learning_params_validation(field, value):
@@ -272,17 +271,16 @@ def test_risk_scaled_training_matches_textbook_reference(metric):
     assert report.risky_transitions == risky
 
 
-@pytest.mark.parametrize("metric,rho,rate_power,strict", [
-    ("qaoi", 1.0, None, False),
-    ("qaoi", 2.0, None, True),
-    ("aoi", 2.0, 0.6, False),
-    ("qaoi", 2.0, 0.8, True),
-    ("aoii", 2.0, 1.0, False),
+@pytest.mark.parametrize("metric,rho,rate_power", [
+    ("qaoi", 1.0, None),
+    ("aoi", 2.0, 0.6),
+    ("qaoi", 2.0, 0.8),
+    ("aoii", 2.0, 1.0),
 ])
-def test_every_learner_branch_matches_textbook_reference(metric, rho, rate_power, strict):
-    """The query-gated metric, the visit-count rate schedule and strict query
-    gating, none of which the CLI reaches, replay the dict loop bit for bit,
-    visit counts included."""
+def test_every_learner_branch_matches_textbook_reference(metric, rho, rate_power):
+    """The query-gated metric, and the visit-count rate schedule that the
+    CLI does not reach, replay the dict loop bit for bit, visit counts
+    included."""
     params = SystemParams()
 
     def env():
@@ -290,13 +288,11 @@ def test_every_learner_branch_matches_textbook_reference(metric, rho, rate_power
             return AoiiEnv(params, SourceSpec(), seed=21)
         return AoiEnv(params, query=QuerySpec(q=0.4) if metric == "qaoi" else None, seed=21)
 
-    spec = LearningParams(steps=15_000, rho=rho, rate_power=rate_power,
-                          strict_query_cost=strict, a_max=48)
+    spec = LearningParams(steps=15_000, rho=rho, rate_power=rate_power, a_max=48)
     report = train(env(), spec, seed=22)
     visits: dict[tuple, int] = {}
     values, eps, risky = textbook_qlearning(
-        env(), 15_000, seed=22, a_max=48, rho=rho, rate_power=rate_power,
-        strict_query_cost=strict, visits=visits,
+        env(), 15_000, seed=22, a_max=48, rho=rho, rate_power=rate_power, visits=visits,
     )
     assert risky > 0
     assert np.array_equal(report.table.values, as_array(values, metric, 48))
@@ -328,20 +324,6 @@ def test_visit_count_rate_schedule_first_update():
     # rate = 1/(1+0) = 1, empty bootstrap: the entry becomes the raw cost
     assert report.table.values[0, 1, action] == out.cost
     assert int(report.visits.sum()) == 1
-
-
-def test_strict_query_gating_removes_all_signal_without_queries():
-    """q = 0 plus strict gating zeroes every cost, so nothing is learned."""
-    params = SystemParams()
-    env = AoiEnv(params, query=QuerySpec(q=0.0), seed=4)
-    spec = LearningParams(steps=2000, strict_query_cost=True, a_max=16)
-    report = train(env, spec, seed=5)
-    assert np.all(report.table.values == 0.0)
-    # without strict gating the energy term still reaches the learner
-    env = AoiEnv(params, query=QuerySpec(q=0.0), seed=4)
-    spec = LearningParams(steps=2000, strict_query_cost=False, a_max=16)
-    report = train(env, spec, seed=5)
-    assert np.any(report.table.values > 0.0)
 
 
 def test_greedy_policy_reads_learned_table():

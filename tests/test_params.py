@@ -36,6 +36,10 @@ def test_default_parameters():
     ("nu", -1.0),
     ("alpha", -0.5),
     ("beta", -3.0),
+    # NaN compares false both ways, so it must fail the check, not slip past it
+    ("nu", float("nan")),
+    ("alpha", float("nan")),
+    ("beta", float("nan")),
 ])
 def test_system_params_rejects_bad_values(field, value):
     with pytest.raises(ValueError):
