@@ -26,17 +26,16 @@ from .analytic import (
     optimal_threshold,
     risk_constrained_threshold,
     risky_frequency,
+    threshold_cost_qaoi,
 )
 from .experiments import (
     EnvSpec,
     ExperimentConfig,
     ResultRow,
     _baseline_threshold,
-    _threshold_policy,
     comparison_rows,
     emit_plot_data,
     emit_results,
-    evaluate,
     format_summary,
     learning_comparison,
     query_prob_sweep,
@@ -275,18 +274,15 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    spec = config.env
-    if spec.metric == "aoii" and config.threshold is None:
+    metric = config.env.metric
+    if metric == "aoii" and config.threshold is None:
         raise UsageError("simulate needs --threshold for the aoii metric")
-    threshold = _baseline_threshold(spec, config)
-    policy = _threshold_policy(spec.metric, threshold)
-    stats = evaluate(policy, spec, config.test_steps, config.runs, config.base_seed)
-    param = f"theta={threshold}" if spec.metric == "aoii" else f"n={threshold}"
-    row = ResultRow.from_stats("simulate", spec.metric, "threshold", param, None, stats, config)
-    print(format_summary([row]))
-    print(f"mean send rate {stats.mean_send_rate:.4f}")
+    sweep = threshold_sweep(metric, [_baseline_threshold(config.env, config)], config)
+    rows = sweep_rows("simulate", metric, sweep, config)
+    print(format_summary(rows))
+    print(f"mean send rate {sweep.points[0].stats.mean_send_rate:.4f}")
     if args.out:
-        emit_results([row], args.out)
+        emit_results(rows, args.out)
         print(f"wrote {args.out}")
     return 0
 
@@ -311,6 +307,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _sweep_figure(figure: str, metric: str, values: list[int]):
+    """A threshold sweep over ascending values, overlaid with the closed forms
+    of the age metrics (the risky one only below zeta)."""
+
     def run(config: ExperimentConfig, learn_steps: int | None, out_dir: Path) -> list[ResultRow]:
         sweep = threshold_sweep(metric, values, config)
         rows = sweep_rows(figure, metric, sweep, config)
@@ -323,18 +322,17 @@ def _sweep_figure(figure: str, metric: str, values: list[int]):
             out_dir / f"{figure}_risky.dat",
             [(p.value, p.stats.mean_risky_freq, p.stats.std_risky_freq) for p in sweep.points],
         )
-        analytic = [
-            (p.value, p.analytic_cost, 0.0) for p in sweep.points if p.analytic_cost is not None
-        ]
-        if analytic:
-            emit_plot_data(out_dir / f"{figure}_cost_analytic.dat", analytic)
-        analytic_risky = [
-            (p.value, p.analytic_risky, 0.0)
-            for p in sweep.points
-            if p.analytic_risky is not None
-        ]
-        if analytic_risky:
-            emit_plot_data(out_dir / f"{figure}_risky_analytic.dat", analytic_risky)
+        if metric == "aoii":
+            return rows
+        spec = replace(config.env, metric=metric)
+        params, zeta, q = spec.params, spec.risk.zeta, spec.q
+        emit_plot_data(
+            out_dir / f"{figure}_cost_analytic.dat",
+            [(n, cost_breakdown(n, params, q=q).total, 0.0) for n in values],
+        )
+        risky = [(n, risky_frequency(n, zeta, params, q=q), 0.0) for n in values if n < zeta]
+        if risky:
+            emit_plot_data(out_dir / f"{figure}_risky_analytic.dat", risky)
         return rows
 
     return run
@@ -348,7 +346,7 @@ def _comparison_figure(figure: str, metric: str, steps_list: list[int]):
         rows: list[ResultRow] = []
         for steps in steps_list if learn_steps is None else [learn_steps]:
             comparison = learning_comparison(metric, steps, config)
-            block = comparison_rows(figure, comparison, config)
+            block = comparison_rows(figure, metric, steps, comparison, config)
             rows.extend(block)
             triples = [
                 (i, row.mean_risky_freq, row.std_risky_freq) for i, row in enumerate(block)
@@ -361,24 +359,27 @@ def _comparison_figure(figure: str, metric: str, steps_list: list[int]):
 
 
 def _query_sweep_figure(figure: str, q_values: list[float]):
+    """The query-gated comparison at each q, overlaid with the closed-form
+    cost of the optimal threshold at that q, whatever the baseline used."""
+
     def run(config: ExperimentConfig, learn_steps: int | None, out_dir: Path) -> list[ResultRow]:
-        sweep = query_prob_sweep(q_values, config)
+        by_q = query_prob_sweep(q_values, config)
+        steps = config.learning.steps
         # one block per query probability, labelled by q
         rows = [
-            replace(row, param=f"q={point.q:g}")
-            for point in sweep.points
-            for row in comparison_rows(figure, point.comparison, config)
+            replace(row, param=f"q={q:g}")
+            for q, comparison in by_q.items()
+            for row in comparison_rows(figure, "qaoi", steps, comparison, config)
         ]
         emit_results(rows, out_dir / f"{figure}.csv")
-        for name in sorted(sweep.points[0].comparison):
-            triples = [
-                (point.q, point.comparison[name].mean_cost, point.comparison[name].std_cost)
-                for point in sweep.points
-            ]
+        for name in sorted(next(iter(by_q.values()))):
+            triples = [(q, c[name].mean_cost, c[name].std_cost) for q, c in by_q.items()]
             emit_plot_data(out_dir / f"{figure}_cost_{name}.dat", triples)
+        params = config.env.params
+        optima = {q: optimal_threshold(params, q=q) for q in by_q}
         emit_plot_data(
             out_dir / f"{figure}_cost_analytic.dat",
-            [(point.q, point.analytic_cost, 0.0) for point in sweep.points],
+            [(q, threshold_cost_qaoi(n, params, q), 0.0) for q, n in optima.items()],
         )
         return rows
 

@@ -97,14 +97,12 @@ def aoii_transition(state: AoIIState, action: int, source_event: bool, success: 
 class StepOutcome(NamedTuple):
     """What one simulated step produced.
 
-    ``query`` is only meaningful for the query-gated metric and stays False
-    elsewhere; ``success`` is True only for a delivered send attempt.
+    ``success`` is True only for a delivered send attempt.
     """
 
     next_state: AoIState | AoIIState
     cost: float
     risky: bool
-    query: bool
     sent: bool
     success: bool
 
@@ -172,7 +170,6 @@ class AoiEnv:
         nxt = aoi_transition(self.state, action, arrival, channel_ok)
         age = nxt[1]
         if self.query is None:
-            query = False
             risky = age >= self.zeta
         else:
             query = next(streams.query) < self.query.q
@@ -181,7 +178,7 @@ class AoiEnv:
                 age = 0
         self.state = nxt
         cost = step_cost(age, sent, params)
-        return _new(StepOutcome, (nxt, cost, risky, query, sent, sent and channel_ok))
+        return _new(StepOutcome, (nxt, cost, risky, sent, sent and channel_ok))
 
 
 class AoiiEnv:
@@ -218,7 +215,7 @@ class AoiiEnv:
         age = nxt[1]
         self.state = nxt
         cost = step_cost(age, sent, params)
-        return _new(StepOutcome, (nxt, cost, age >= self.zeta_aoii, False, sent, sent and channel_ok))
+        return _new(StepOutcome, (nxt, cost, age >= self.zeta_aoii, sent, sent and channel_ok))
 
 
 @dataclass

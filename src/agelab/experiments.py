@@ -3,7 +3,9 @@
 Every experiment derives its per-run seeds from one base seed, and the
 evaluation seeds are shared across strategies within a comparison, so
 reported differences between strategies are paired rather than noise from
-different event sequences.
+different event sequences.  An experiment returns only what it measured
+and the choices it made (a baseline threshold); closed-form overlays and
+row labels are left to the caller.
 """
 
 from __future__ import annotations
@@ -15,13 +17,7 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .analytic import (
-    AnalyticInapplicableError,
-    cost_breakdown,
-    optimal_threshold,
-    risky_frequency,
-    threshold_cost_qaoi,
-)
+from .analytic import optimal_threshold
 from .env import AoiEnv, AoiiEnv, Policy, run_policy
 from .learning import LearningParams, train
 from .params import QuerySpec, RiskSpec, SourceSpec, SystemParams
@@ -34,8 +30,6 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "ComparisonResult",
-    "QuerySweepPoint",
-    "QuerySweepResult",
     "ResultRow",
     "evaluate",
     "threshold_sweep",
@@ -179,8 +173,6 @@ def evaluate(
 class SweepPoint:
     value: int
     stats: RunStats
-    analytic_cost: float | None
-    analytic_risky: float | None
 
 
 @dataclass(frozen=True)
@@ -199,23 +191,15 @@ def _threshold_policy(metric: str, value: int) -> Policy:
 
 
 def threshold_sweep(metric: str, thresholds: list[int], config: ExperimentConfig) -> SweepResult:
-    """Evaluate threshold policies in ascending order with analytic overlays."""
+    """Evaluate threshold policies in ascending order on shared evaluation seeds."""
     if not thresholds:
         raise ValueError("thresholds must be a nonempty list")
     spec = replace(config.env, metric=metric)
-    points: list[SweepPoint] = []
-    for value in sorted(thresholds):
-        policy = _threshold_policy(metric, value)
-        stats = evaluate(policy, spec, config.test_steps, config.runs, config.base_seed)
-        analytic_cost: float | None = None
-        analytic_risky: float | None = None
-        if metric != "aoii":
-            analytic_cost = cost_breakdown(value, spec.params, q=spec.q).total
-            try:
-                analytic_risky = risky_frequency(value, spec.risk.zeta, spec.params, q=spec.q)
-            except AnalyticInapplicableError:
-                pass
-        points.append(SweepPoint(value, stats, analytic_cost, analytic_risky))
+    profile = (config.test_steps, config.runs, config.base_seed)
+    points = [
+        SweepPoint(value, evaluate(_threshold_policy(metric, value), spec, *profile))
+        for value in sorted(thresholds)
+    ]
     return SweepResult(
         variable="theta" if metric == "aoii" else "n",
         points=tuple(points),
@@ -237,23 +221,11 @@ def _baseline_threshold(spec: EnvSpec, config: ExperimentConfig) -> int:
 
 
 class ComparisonResult(Mapping[str, RunStats]):
-    """Per-strategy statistics plus the choices made to produce them."""
+    """Per-strategy statistics plus the baseline threshold that was chosen."""
 
-    def __init__(
-        self,
-        results: dict[str, RunStats],
-        metric: str,
-        learn_steps: int,
-        threshold: int,
-        send_prob: float,
-        rho: float,
-    ) -> None:
+    def __init__(self, results: dict[str, RunStats], threshold: int) -> None:
         self.results = results
-        self.metric = metric
-        self.learn_steps = learn_steps
         self.threshold = threshold
-        self.send_prob = send_prob
-        self.rho = rho
 
     def __getitem__(self, key: str) -> RunStats:
         return self.results[key]
@@ -295,7 +267,6 @@ def learning_comparison(
         known = {"threshold": by_value[threshold], "always_send": by_value[0]}
     else:
         threshold = _baseline_threshold(spec, config)
-    send_prob = spec.params.lam
     lp_risk = replace(config.learning, steps=learn_steps)
     lp_plain = replace(lp_risk, rho=1.0)
 
@@ -309,7 +280,7 @@ def learning_comparison(
     # Each strategy's values depend only on its own seeds, so the strategies
     # can be evaluated one after another.
     strategies: dict[str, PolicyLike] = {
-        "random": lambda i: RandomPolicy(send_prob, np.random.default_rng(pol_seeds[i])),
+        "random": lambda i: RandomPolicy(spec.params.lam, np.random.default_rng(pol_seeds[i])),
         "threshold": _threshold_policy(metric, threshold),
         "qlearn": learner(lp_plain),
         "qlearn_risk": learner(lp_risk),
@@ -322,52 +293,27 @@ def learning_comparison(
         else evaluate(policy, spec, config.test_steps, config.runs, config.base_seed)
         for name, policy in strategies.items()
     }
-    return ComparisonResult(
-        results=results,
-        metric=metric,
-        learn_steps=learn_steps,
-        threshold=threshold,
-        send_prob=send_prob,
-        rho=lp_risk.rho,
-    )
+    return ComparisonResult(results, threshold)
 
 
-@dataclass(frozen=True)
-class QuerySweepPoint:
-    q: float
-    comparison: ComparisonResult
-    best_threshold: int
-    analytic_cost: float
+def query_prob_sweep(
+    q_values: list[float], config: ExperimentConfig
+) -> dict[float, ComparisonResult]:
+    """The query-gated comparison at each query probability, in ascending q.
 
-
-@dataclass(frozen=True)
-class QuerySweepResult:
-    points: tuple[QuerySweepPoint, ...]
-
-
-def query_prob_sweep(q_values: list[float], config: ExperimentConfig) -> QuerySweepResult:
-    """Repeat the query-gated comparison for each query probability.
-
-    Each point also carries the analytically optimal threshold and its
-    cost; at q = 1 these coincide with the plain age metric's values.
+    Each comparison trains for ``config.learning.steps``; without a
+    configured threshold its baseline is the optimum at that q.
     """
     if not q_values:
         raise ValueError("q_values must be a nonempty list")
-    points: list[QuerySweepPoint] = []
-    for q in sorted(q_values):
-        spec = replace(config.env, metric="qaoi", query=QuerySpec(q))
-        cfg = replace(config, env=spec)
-        comparison = learning_comparison("qaoi", config.learning.steps, cfg)
-        best_n = optimal_threshold(spec.params, q=q)
-        points.append(
-            QuerySweepPoint(
-                q=q,
-                comparison=comparison,
-                best_threshold=best_n,
-                analytic_cost=threshold_cost_qaoi(best_n, spec.params, q),
-            )
+    return {
+        q: learning_comparison(
+            "qaoi",
+            config.learning.steps,
+            replace(config, env=replace(config.env, metric="qaoi", query=QuerySpec(q))),
         )
-    return QuerySweepResult(points=tuple(points))
+        for q in sorted(q_values)
+    }
 
 
 @dataclass(frozen=True)
@@ -417,22 +363,27 @@ CSV_COLUMNS = [f.name for f in fields(ResultRow)]
 
 
 def comparison_rows(
-    experiment_id: str, comparison: ComparisonResult, config: ExperimentConfig
+    experiment_id: str,
+    metric: str,
+    learn_steps: int,
+    comparison: ComparisonResult,
+    config: ExperimentConfig,
 ) -> list[ResultRow]:
+    """One row per strategy, sorted by name; send_prob and rho come from the config."""
     params = {
-        "random": f"send_prob={comparison.send_prob:g}",
+        "random": f"send_prob={config.env.params.lam:g}",
         "threshold": f"threshold={comparison.threshold}",
         "always_send": "threshold=0",
         "qlearn": "rho=1",
-        "qlearn_risk": f"rho={comparison.rho:g}",
+        "qlearn_risk": f"rho={config.learning.rho:g}",
     }
     return [
         ResultRow.from_stats(
             experiment_id,
-            comparison.metric,
+            metric,
             name,
             params[name],
-            comparison.learn_steps if name.startswith("qlearn") else None,
+            learn_steps if name.startswith("qlearn") else None,
             stats,
             config,
         )

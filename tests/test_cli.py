@@ -6,6 +6,11 @@ import pytest
 
 from agelab.cli import UsageError, format_config_text, main, parse_config_text
 
+CSV_HEADER = (
+    "experiment_id", "metric", "strategy", "param", "learn_steps", "test_steps", "runs",
+    "mean_cost", "std_cost", "mean_risky_freq", "std_risky_freq",
+)
+
 
 def run_cli(argv, capsys):
     code = main(argv)
@@ -211,6 +216,62 @@ def test_simulate_deterministic_limit(capsys, tmp_path):
     assert rows[0]["param"] == "n=1"
 
 
+# simulate's report and CSV at a small seeded profile, for each metric at
+# threshold 2 and for the age metrics at their analytic optimum
+SIMULATE_PINS = {
+    ("aoi", "2"): (
+        "simulate aoi threshold [n=2] cost 3.5100 +- 0.2216, risky 0.0850 +- 0.0401"
+        " (2 runs x 300 steps)\nmean send rate 0.3667\n",
+        "simulate,aoi,threshold,n=2,,300,2,3.51,0.22156012477178466,0.08499999999999999,"
+        "0.04006938426723769\n",
+    ),
+    ("qaoi", "2"): (
+        "simulate qaoi threshold [n=2] cost 1.6867 +- 0.0000, risky 0.0233 +- 0.0141"
+        " (2 runs x 300 steps)\nmean send rate 0.3667\n",
+        "simulate,qaoi,threshold,n=2,,300,2,1.6866666666666668,0.0,0.023333333333333334,"
+        "0.01414213562373095\n",
+    ),
+    ("aoii", "2"): (
+        "simulate aoii threshold [theta=2] cost 1.4800 +- 0.0236, risky 0.0183 +- 0.0071"
+        " (2 runs x 300 steps)\nmean send rate 0.2433\n",
+        "simulate,aoii,threshold,theta=2,,300,2,1.48,0.0235702260395515,0.018333333333333333,"
+        "0.007071067811865475\n",
+    ),
+    ("aoi", None): (
+        "simulate aoi threshold [n=2] cost 3.5100 +- 0.2216, risky 0.0850 +- 0.0401"
+        " (2 runs x 300 steps)\nmean send rate 0.3667\n",
+        "simulate,aoi,threshold,n=2,,300,2,3.51,0.22156012477178466,0.08499999999999999,"
+        "0.04006938426723769\n",
+    ),
+    ("qaoi", None): (
+        "simulate qaoi threshold [n=5] cost 1.4350 +- 0.0495, risky 0.0800 +- 0.0094"
+        " (2 runs x 300 steps)\nmean send rate 0.1900\n",
+        "simulate,qaoi,threshold,n=5,,300,2,1.435,0.049497474683058366,0.08,"
+        "0.009428090415820635\n",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "metric, threshold", list(SIMULATE_PINS), ids=["aoi", "qaoi", "aoii", "aoi_opt", "qaoi_opt"]
+)
+def test_simulate_report_and_csv_are_pinned(capsys, tmp_path, metric, threshold):
+    out_file = tmp_path / "sim.csv"
+    given = [] if threshold is None else ["--threshold", threshold]
+    code, out, err = run_cli(
+        [
+            "simulate", "--metric", metric, *given,
+            "--runs", "2", "--test-steps", "300", "--seed", "7",
+            "--out", str(out_file),
+        ],
+        capsys,
+    )
+    summary, row = SIMULATE_PINS[metric, threshold]
+    assert (code, out, err) == (0, summary + f"wrote {out_file}\n", "")
+    header = ",".join(CSV_HEADER) + "\n"
+    assert out_file.read_text() == header + row
+
+
 def test_simulate_mismatch_metric_needs_theta(capsys):
     code, _, err = run_cli(["simulate", "--metric", "aoii", "--runs", "1"], capsys)
     assert code == 1
@@ -407,6 +468,25 @@ def test_sweep_analytic_overlays_are_pinned(capsys, tmp_path, figure):
             assert (tmp_path / name).read_bytes() == text.encode()
 
 
+def test_sweep_risky_overlay_stops_below_zeta(capsys, tmp_path):
+    """The risky closed form needs n < zeta, so zeta = 4 leaves n = 1..3."""
+    code, _, _ = run_cli(
+        ["reproduce", "fig3c", "--zeta", "4", "--runs", "1", "--test-steps", "50",
+         "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    assert (tmp_path / "fig3c_risky_analytic.dat").read_text() == (
+        "# x y yerr\n"
+        "1 0.028099999999986264 0.0\n"
+        "2 0.036758620689637804 0.0\n"
+        "3 0.054759427828322854 0.0\n"
+    )
+    # the cost overlay does not depend on zeta
+    text = SWEEP_OVERLAYS["fig3c_cost_analytic.dat"]
+    assert (tmp_path / "fig3c_cost_analytic.dat").read_text() == text
+
+
 def test_reproduce_comparison_accepts_step_override(capsys, tmp_path):
     code, _, _ = run_cli(
         [
@@ -504,6 +584,48 @@ def test_query_sweep_preset_rows_are_pinned(capsys, tmp_path):
     )
     assert code == 0
     assert (tmp_path / "fig7.csv").read_text() == FIG7_CSV
+
+
+# fig7's analytic overlay: the cost of the optimal threshold at each q.  It
+# stays at the optimum when --threshold fixes the baseline's threshold.
+FIG7_OVERLAYS = {
+    "defaults": """\
+# x y yerr
+0.2 1.3007022131348673 0.0
+0.4 1.955990539852014 0.0
+0.6 2.5233362991353547 0.0
+0.8 3.026093970558581 0.0
+1 3.5103851582980443 0.0
+""",
+    "threshold3_lambda04": """\
+# x y yerr
+0.2 1.334735451765956 0.0
+0.4 2.0354158182850806 0.0
+0.6 2.6641635377555275 0.0
+0.8 3.2393269364483377 0.0
+1 3.814490335141148 0.0
+""",
+}
+
+
+@pytest.mark.parametrize(
+    "extra, case",
+    [([], "defaults"), (["--threshold", "3", "--lambda", "0.4"], "threshold3_lambda04")],
+    ids=list(FIG7_OVERLAYS),
+)
+def test_query_sweep_analytic_overlay_is_pinned(capsys, tmp_path, extra, case):
+    code, _, _ = run_cli(
+        [
+            "reproduce", "fig7",
+            "--learn-steps", "200", "--a-max", "8",
+            "--runs", "1", "--test-steps", "50", "--seed", "3",
+            *extra,
+            "--out-dir", str(tmp_path),
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert (tmp_path / "fig7_cost_analytic.dat").read_text() == FIG7_OVERLAYS[case]
 
 
 # fig8's results at a small profile, value for value: with theta read off

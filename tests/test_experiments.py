@@ -16,10 +16,13 @@ from agelab import (
     RiskSpec,
     SourceSpec,
     SystemParams,
+    cost_breakdown,
     evaluate,
     learning_comparison,
+    optimal_threshold,
     threshold_sweep,
 )
+from agelab.cli import main
 from agelab.experiments import (
     CSV_COLUMNS,
     RunStats,
@@ -139,17 +142,20 @@ def test_threshold_sweep_structure():
     assert [point.value for point in sweep.points] == [1, 2, 3]
     assert sweep.best_value == 2
     for point in sweep.points:
-        assert point.analytic_cost is not None
-        assert point.stats.mean_cost == pytest.approx(point.analytic_cost, rel=0.1)
-        assert point.analytic_risky is not None
+        # the closed-form cost that the fig3a preset overlays on the measured one
+        overlay = cost_breakdown(point.value, FAST.env.params).total
+        assert point.stats.mean_cost == pytest.approx(overlay, rel=0.1)
 
 
-def test_threshold_sweep_mismatch_metric_has_no_overlay():
+def test_threshold_sweep_mismatch_metric_has_no_overlay(tmp_path):
     sweep = threshold_sweep("aoii", [0, 1, 2], FAST)
     assert sweep.variable == "theta"
-    for point in sweep.points:
-        assert point.analytic_cost is None
-        assert point.analytic_risky is None
+    assert [point.value for point in sweep.points] == [0, 1, 2]
+    # the mismatch metric has no closed form, so its preset writes no overlay
+    assert main(["reproduce", "fig3d", "--runs", "1", "--test-steps", "50",
+                 "--out-dir", str(tmp_path)]) == 0
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == ["fig3d.csv", "fig3d_cost.dat", "fig3d_risky.dat"]
 
 
 def test_threshold_sweep_rejects_empty():
@@ -160,11 +166,12 @@ def test_threshold_sweep_rejects_empty():
 def test_learning_comparison_structure_and_pairing():
     comparison = learning_comparison("aoi", 3000, FAST)
     assert set(comparison) == {"random", "threshold", "qlearn", "qlearn_risk"}
-    assert comparison.metric == "aoi"
-    assert comparison.learn_steps == 3000
     assert comparison.threshold == 2  # analytic optimum fills the default
-    assert comparison.send_prob == 0.5  # arrival probability fills the default
-    assert comparison.rho == 2.0
+    rows = {row.strategy: row for row in comparison_rows("c", "aoi", 3000, comparison, FAST)}
+    assert {row.metric for row in rows.values()} == {"aoi"}
+    assert rows["qlearn"].learn_steps == rows["qlearn_risk"].learn_steps == 3000
+    assert rows["random"].param == "send_prob=0.5"  # arrival probability fills the default
+    assert rows["qlearn_risk"].param == "rho=2"
     # every strategy faced the same evaluation environments: the threshold
     # row must agree exactly with a standalone evaluation at the same seed
     direct = evaluate(ThresholdPolicy(2), EnvSpec("aoi"), FAST.test_steps, FAST.runs, FAST.base_seed)
@@ -211,11 +218,12 @@ def test_learning_comparison_takes_rho_from_the_learning_parameters():
         base_seed=1,
     )
     comparison = learning_comparison("aoi", 2000, config)
-    assert comparison.rho == 3.0
-    doubled = learning_comparison(
-        "aoi", 2000, replace(config, learning=LearningParams(steps=2000, a_max=32))
-    )
-    assert doubled.rho == 2.0
+    doubled_config = replace(config, learning=LearningParams(steps=2000, a_max=32))
+    doubled = learning_comparison("aoi", 2000, doubled_config)
+    for result, cfg, label in ((comparison, config, "rho=3"), (doubled, doubled_config, "rho=2")):
+        rows = {row.strategy: row for row in comparison_rows("c", "aoi", 2000, result, cfg)}
+        assert rows["qlearn_risk"].param == label
+        assert rows["qlearn"].param == "rho=1"
     assert comparison["qlearn"] == doubled["qlearn"]  # the plain learner always runs at 1
     assert comparison["qlearn_risk"] != doubled["qlearn_risk"]
 
@@ -240,16 +248,18 @@ def test_query_sweep_points_carry_analytic_optimum():
         base_seed=3,
     )
     result = query_prob_sweep([1.0, 0.2], config)
-    assert [point.q for point in result.points] == [0.2, 1.0]
-    assert result.points[0].best_threshold == 5
-    assert result.points[1].best_threshold == 2
+    assert list(result) == [0.2, 1.0]
+    # without a configured threshold each baseline is the optimum at its q,
+    # the threshold fig7's overlay is computed at
+    assert [comparison.threshold for comparison in result.values()] == [5, 2]
+    assert [optimal_threshold(config.env.params, q=q) for q in result] == [5, 2]
     with pytest.raises(ValueError):
         query_prob_sweep([], config)
 
 
 def test_comparison_rows_and_csv(tmp_path):
     comparison = learning_comparison("aoi", 3000, FAST)
-    rows = comparison_rows("compare-aoi", comparison, FAST)
+    rows = comparison_rows("compare-aoi", "aoi", 3000, comparison, FAST)
     assert [row.strategy for row in rows] == ["qlearn", "qlearn_risk", "random", "threshold"]
     by_name = {row.strategy: row for row in rows}
     assert by_name["random"].param == "send_prob=0.5"
