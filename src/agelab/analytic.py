@@ -8,11 +8,20 @@ the policy that sends when the age gain is at least n, without simulation.
 All series here have geometric tails, so truncation to a relative tolerance
 is exact for practical purposes; the deterministic limits lam = 1 or p = 1
 terminate the series outright.
+
+The age frequencies behind the risky-state frequency share one table of
+opening weights and reach probabilities per parameter point, grown as the
+age rises.  A risky frequency over a tail of K ages costs O(K^2), with
+K ~ log(tol) / log(max(1 - p, 1 - lam)): about 600 ages at p = 0.05,
+lam = 0.07.  The tables reproduce the term-by-term series (O(K^3), kept in
+tests/oracles.py) float for float, and the tests compare them with ==.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from operator import mul
 
 from .params import SystemParams
 
@@ -132,8 +141,7 @@ def cost_breakdown(n: int, params: SystemParams, q: float = 1.0) -> CostBreakdow
     series is truncated once its bounded geometric tail is negligible.
     """
     _check_threshold(n)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
+    _check_q(q)
     length = mean_period_length(n, params)
     a_n = period_age_sum(n, params)
     total = 0.0
@@ -166,6 +174,102 @@ def threshold_cost_qaoi(n: int, params: SystemParams, q: float) -> float:
     return cost_breakdown(n, params, q=q).total
 
 
+def _check_band(k: int, n: int) -> None:
+    _check_threshold(n)
+    if k <= n:
+        raise AnalyticInapplicableError(
+            f"age frequencies are only available above the threshold (k={k}, n={n})"
+        )
+
+
+def _check_q(q: float) -> None:
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must be in [0, 1], got {q}")
+
+
+class _TailTables:
+    """Opening weights and reach probabilities of one parameter point.
+
+    weights[r] is ``start_age_weight(r)`` and reach[m] is the chance that a
+    period standing at or above the threshold climbs m more ages.  Neither
+    depends on the threshold, so one instance serves every threshold at the
+    same point.  Both lists grow on demand; each new reach entry is one
+    more step of the loop whose prefixes gave the entries before it.
+    """
+
+    def __init__(self, params: SystemParams) -> None:
+        lam, p = params.lam, params.p
+        self.g = (1.0 - lam) * (1.0 - p)
+        self._x, self._y, self._pl = 1.0 - lam, 1.0 - p, p * lam
+        self._inner = self._acc = 0.0
+        self._xpow = 1.0
+        self.weights = [0.0]  # no period opens at age 0
+        self.reach = [1.0]
+
+    def grow(self, k: int) -> None:
+        """Extend weights through age k and reach through k - 1 ages."""
+        g, weights = self.g, self.weights
+        for r in range(len(weights), k + 1):
+            weights.append(g ** (r - 1) - g**r)
+        x, y, pl, reach = self._x, self._y, self._pl, self.reach
+        inner, xpow, acc = self._inner, self._xpow, self._acc
+        for _ in range(len(reach), k):
+            # an arrival after j quiet steps, then a delivery within the rest
+            inner = y * inner + xpow
+            xpow *= x
+            acc += inner
+            reach.append(1.0 - pl * acc)
+        self._inner, self._xpow, self._acc = inner, xpow, acc
+
+
+def _age_frequencies(
+    n: int, params: SystemParams, start: int, tables: _TailTables | None = None
+) -> Iterator[float]:
+    """``age_frequency(k, n)`` for k = start, start + 1, ... without end.
+
+    A period shows age k > n at most once.  It reaches k from an opening at
+    k itself, from any opening up to n (which climbs to n first), or from an
+    opening r in between; each path weighs the opening's probability by the
+    reach over the k - max(r, n) ages still to climb.  Dividing by the mean
+    period length turns the reach into a frequency.
+    """
+    if tables is None:
+        tables = _TailTables(params)
+    weights, reach = tables.weights, tables.reach
+    below = 1.0 - tables.g**n
+    length = mean_period_length(n, params)
+    k = start
+    while True:
+        tables.grow(k)
+        total = weights[k] + reach[k - n] * below
+        for term in map(mul, weights[n + 1 : k], reach[k - n - 1 : 0 : -1]):
+            total += term
+        yield total / length
+        k += 1
+
+
+def _tail_sum(frequencies: Iterable[float], zeta: int, params: SystemParams) -> float:
+    """Sum age frequencies from age zeta on until the geometric tail is negligible."""
+    # A period at age k >= n dies that step only through a delivery, which
+    # needs an armed sender, so one-step survival is at least lam * p below
+    # one and the age frequencies are dominated by a geometric tail.
+    # Far out the reach probabilities cancel down to rounding noise, and the
+    # terms repeat one value instead of shrinking; the tail bound then never
+    # falls below the tolerance of a small sum, so a repeated term ends it too.
+    ratio = 1.0 - params.lam * params.p
+    total = 0.0
+    prev = None
+    for k, term in enumerate(frequencies, zeta):
+        total += term
+        if k >= zeta + _MIN_TERMS:
+            if term == 0.0 or term == prev:
+                break
+            if ratio == 0.0 or term * ratio / (1.0 - ratio) < _TAIL_TOL * total:
+                break
+        prev = term
+    return total
+
+
 def reach_probability(r: int, k: int, n: int, params: SystemParams) -> float:
     """Probability that a period opening at age r ever shows age k, for k > n.
 
@@ -174,28 +278,14 @@ def reach_probability(r: int, k: int, n: int, params: SystemParams) -> float:
     max(r, n) the period dies before k exactly when an arrival comes and
     the following attempts deliver within the remaining k - r steps.
     """
-    _check_threshold(n)
-    if k <= n:
-        raise AnalyticInapplicableError(
-            f"age frequencies are only available above the threshold (k={k}, n={n})"
-        )
+    _check_band(k, n)
     if r < 1:
         raise ValueError(f"age must be at least 1, got {r}")
     if r > k:
         return 0.0
-    if r == k:
-        return 1.0
-    r = max(r, n)
-    lam, p = params.lam, params.p
-    x, y = 1.0 - lam, 1.0 - p
-    total = 0.0
-    inner = 0.0
-    xpow = 1.0
-    for _ in range(k - r):
-        inner = y * inner + xpow
-        xpow *= x
-        total += inner
-    return 1.0 - p * lam * total
+    tables = _TailTables(params)
+    tables.grow(k)
+    return tables.reach[k - max(r, n)]
 
 
 def age_frequency(k: int, n: int, params: SystemParams) -> float:
@@ -204,17 +294,8 @@ def age_frequency(k: int, n: int, params: SystemParams) -> float:
     A period shows age k at most once, so the frequency is the chance a
     period reaches k divided by the mean period length.
     """
-    _check_threshold(n)
-    if k <= n:
-        raise AnalyticInapplicableError(
-            f"age frequencies are only available above the threshold (k={k}, n={n})"
-        )
-    g = (1.0 - params.lam) * (1.0 - params.p)
-    below = 1.0 - g**n
-    reach = start_age_weight(k, params) + reach_probability(n, k, n, params) * below
-    for r in range(n + 1, k):
-        reach += start_age_weight(r, params) * reach_probability(r, k, n, params)
-    return reach / mean_period_length(n, params)
+    _check_band(k, n)
+    return next(_age_frequencies(n, params, k))
 
 
 def risky_frequency(n: int, zeta: int, params: SystemParams, q: float = 1.0) -> float:
@@ -230,24 +311,8 @@ def risky_frequency(n: int, zeta: int, params: SystemParams, q: float = 1.0) -> 
             f"risky frequency in closed form needs zeta > n (zeta={zeta}, n={n}); "
             "use the simulation estimator instead"
         )
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
-    # A period at age k >= n dies that step only through a delivery, which
-    # needs an armed sender, so one-step survival is at least lam * p below
-    # one and the age frequencies are dominated by a geometric tail.
-    ratio = 1.0 - params.lam * params.p
-    total = 0.0
-    k = zeta
-    while True:
-        term = age_frequency(k, n, params)
-        total += term
-        if k >= zeta + _MIN_TERMS:
-            if term == 0.0:
-                break
-            if ratio == 0.0 or term * ratio / (1.0 - ratio) < _TAIL_TOL * total:
-                break
-        k += 1
-    return total * q
+    _check_q(q)
+    return _tail_sum(_age_frequencies(n, params, zeta), zeta, params) * q
 
 
 @dataclass(frozen=True)
@@ -271,7 +336,8 @@ def evaluate_threshold(
     breakdown = cost_breakdown(n, params, q=q)
     if k_max is None:
         k_max = max(n + 8, zeta + 4)
-    freq = {k: q * age_frequency(k, n, params) for k in range(n + 1, k_max + 1)}
+    ages = range(n + 1, k_max + 1)
+    freq = {k: q * f for k, f in zip(ages, _age_frequencies(n, params, n + 1))}
     risky = risky_frequency(n, zeta, params, q=q)
     return AnalyticResult(threshold=n, breakdown=breakdown, freq=freq, risky_freq=risky)
 
@@ -321,7 +387,13 @@ def risk_constrained_threshold(
         raise AnalyticInapplicableError(
             f"no admissible threshold below zeta={zeta} with n_max={n_max}"
         )
-    risks = {n: risky_frequency(n, zeta, params, q=q) for n in candidates}
+    _check_q(q)
+    # opening weights and reach probabilities do not depend on the threshold
+    tables = _TailTables(params)
+    risks = {
+        n: _tail_sum(_age_frequencies(n, params, zeta, tables), zeta, params) * q
+        for n in candidates
+    }
     feasible = [n for n in candidates if risks[n] <= budget]
     if not feasible:
         raise InfeasibleRiskBudgetError(budget, min(risks.values()))

@@ -32,7 +32,6 @@ from .experiments import (
     EnvSpec,
     ExperimentConfig,
     ResultRow,
-    _baseline_threshold,
     comparison_rows,
     emit_plot_data,
     emit_results,
@@ -275,9 +274,12 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     metric = config.env.metric
-    if metric == "aoii" and config.threshold is None:
-        raise UsageError("simulate needs --threshold for the aoii metric")
-    sweep = threshold_sweep(metric, [_baseline_threshold(config.env, config)], config)
+    threshold = config.threshold
+    if threshold is None:
+        if metric == "aoii":
+            raise UsageError("simulate needs --threshold for the aoii metric")
+        threshold = optimal_threshold(config.env.params, q=config.env.q)
+    sweep = threshold_sweep(metric, [threshold], config)
     rows = sweep_rows("simulate", metric, sweep, config)
     print(format_summary(rows))
     print(f"mean send rate {sweep.points[0].stats.mean_send_rate:.4f}")

@@ -207,19 +207,6 @@ def threshold_sweep(metric: str, thresholds: list[int], config: ExperimentConfig
     )
 
 
-def _baseline_threshold(spec: EnvSpec, config: ExperimentConfig) -> int:
-    """The configured threshold, else the analytic optimum of the age metrics.
-
-    The mismatch metric has no closed form; ``learning_comparison`` picks its
-    threshold by a sweep.
-    """
-    if config.threshold is not None:
-        return config.threshold
-    if spec.metric == "aoii":
-        raise ValueError("the aoii metric has no closed-form optimum; give a threshold")
-    return optimal_threshold(spec.params, q=spec.q)
-
-
 class ComparisonResult(Mapping[str, RunStats]):
     """Per-strategy statistics plus the baseline threshold that was chosen."""
 
@@ -255,18 +242,20 @@ def learning_comparison(
     train_seeds = train_ns.spawn(config.runs)
     explore_seeds = explore_ns.spawn(config.runs)
 
-    # Statistics known before any rollout.  Without a configured threshold the
-    # aoii baseline is the cheapest one of a small sweep, the way it is tuned
-    # by hand.  The sweep runs on the same evaluation seeds, so its points for
-    # that threshold and for theta = 0 (always send) are those strategies' results.
+    # The baseline threshold is the configured one, else the closed-form
+    # optimum.  The aoii metric has no closed form: its baseline is the
+    # cheapest threshold of a small sweep, the way it is tuned by hand.  The
+    # sweep runs on the same evaluation seeds, so its points for that
+    # threshold and for theta = 0 (always send) are those strategies' results.
     known: dict[str, RunStats] = {}
-    if metric == "aoii" and config.threshold is None:
+    threshold = config.threshold
+    if threshold is None and metric == "aoii":
         sweep = threshold_sweep("aoii", list(range(0, 7)), config)
         threshold = sweep.best_value
         by_value = {point.value: point.stats for point in sweep.points}
         known = {"threshold": by_value[threshold], "always_send": by_value[0]}
-    else:
-        threshold = _baseline_threshold(spec, config)
+    elif threshold is None:
+        threshold = optimal_threshold(spec.params, q=spec.q)
     lp_risk = replace(config.learning, steps=learn_steps)
     lp_plain = replace(lp_risk, rho=1.0)
 

@@ -5,7 +5,9 @@ direct linear solve of the truncated chain (scipy, test dependency only) and
 period statistics come from instrumented simulation, so the closed forms and
 their checks share no code path.  The transition kernels themselves are the
 single shared ingredient; test_env pins those against hand-written
-probability tables first.
+probability tables first.  The age-frequency series at the end is the
+direct O(K^3) evaluation the shared-table closed forms must reproduce bit
+for bit.
 """
 
 from __future__ import annotations
@@ -204,3 +206,79 @@ def period_records(
             start_age = out.next_state.aoi_rx
             length = 0
     return records
+
+
+# --- the age-frequency series, term by term -------------------------------
+#
+# Each frequency sums reach probabilities over every opening age, and each
+# reach probability runs its own loop, so a risky frequency over a tail of K
+# ages costs O(K^3).  The arithmetic is kept in its original order: the
+# closed forms in agelab.analytic must return exactly these floats.
+
+SERIES_TAIL_TOL = 1e-12
+SERIES_MIN_TERMS = 10
+
+
+def series_start_age_weight(r: int, params: SystemParams) -> float:
+    g = (1.0 - params.lam) * (1.0 - params.p)
+    return g ** (r - 1) - g**r
+
+
+def series_period_length(n: int, params: SystemParams) -> float:
+    lam, p = params.lam, params.p
+    base = (1.0 - p) / p + 1.0 + (1.0 - lam) / lam
+    wait = sum(series_start_age_weight(r, params) * (n - r) for r in range(1, n))
+    return base + wait
+
+
+def series_reach_probability(r: int, k: int, n: int, params: SystemParams) -> float:
+    """Chance that a period opening at age r shows age k > n, by its own loop."""
+    if r > k:
+        return 0.0
+    if r == k:
+        return 1.0
+    r = max(r, n)
+    lam, p = params.lam, params.p
+    x, y = 1.0 - lam, 1.0 - p
+    total = 0.0
+    inner = 0.0
+    xpow = 1.0
+    for _ in range(k - r):
+        inner = y * inner + xpow
+        xpow *= x
+        total += inner
+    return 1.0 - p * lam * total
+
+
+def series_age_frequency(k: int, n: int, params: SystemParams) -> float:
+    """Long-run fraction of steps at receiver age k > n, summed over opening ages."""
+    g = (1.0 - params.lam) * (1.0 - params.p)
+    below = 1.0 - g**n
+    reach = series_start_age_weight(k, params) + series_reach_probability(n, k, n, params) * below
+    for r in range(n + 1, k):
+        reach += series_start_age_weight(r, params) * series_reach_probability(r, k, n, params)
+    return reach / series_period_length(n, params)
+
+
+def series_risky_frequency(n: int, zeta: int, params: SystemParams, q: float = 1.0) -> float:
+    """Sum of the age frequencies from zeta on, stopped once the geometric tail is negligible.
+
+    A term equal to the one before it also stops the sum: the terms have
+    reached the rounding floor of the reach probabilities and would repeat
+    forever.
+    """
+    ratio = 1.0 - params.lam * params.p
+    total = 0.0
+    prev = None
+    k = zeta
+    while True:
+        term = series_age_frequency(k, n, params)
+        total += term
+        if k >= zeta + SERIES_MIN_TERMS:
+            if term == 0.0 or term == prev:
+                break
+            if ratio == 0.0 or term * ratio / (1.0 - ratio) < SERIES_TAIL_TOL * total:
+                break
+        prev = term
+        k += 1
+    return total * q

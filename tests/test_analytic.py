@@ -6,6 +6,8 @@ one of them to at least 1e-12; the cleanest cases are also derivable by
 hand and the derivation is noted inline.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,10 +35,14 @@ from oracles import (
     aoi_age_marginal,
     aoi_long_run,
     period_records,
+    series_age_frequency,
+    series_reach_probability,
+    series_risky_frequency,
     threshold_rule,
 )
 
 DEFAULTS = SystemParams()  # p=0.9, lam=0.5
+SLOW = SystemParams(p=0.05, lam=0.07)  # a risky tail of about 600 ages
 
 params_strategy = st.builds(
     SystemParams,
@@ -248,10 +254,102 @@ def test_cost_curve_unimodal_on_default_grid():
         assert costs[i] < costs[i + 1]
 
 
-def test_risky_frequency_nondecreasing_in_threshold():
+@settings(deadline=None, max_examples=30)
+@given(
+    p=st.floats(min_value=0.05, max_value=1.0),
+    lam=st.floats(min_value=0.05, max_value=1.0),
+    zeta=st.integers(min_value=2, max_value=9),
+)
+def test_risky_frequency_nondecreasing_in_threshold(p, lam, zeta):
+    # Where the exact risk is far below 1e-15 (p = 1, lam close to 1) the
+    # closed form returns rounding noise of about 1e-15, in either order.
+    params = SystemParams(p=p, lam=lam)
+    risks = [risky_frequency(n, zeta, params) for n in range(1, zeta)]
+    for earlier, later in zip(risks, risks[1:]):
+        assert later >= earlier - 1e-12
+
+
+def test_risky_frequency_increasing_in_threshold_at_defaults():
     for zeta in (4, 5, 8):
         risks = [risky_frequency(n, zeta, DEFAULTS) for n in range(1, zeta)]
         assert risks == sorted(risks)
+
+
+# --- bit-identity with the term-by-term series -----------------------------
+#
+# The closed forms share one table of opening weights and reach
+# probabilities; oracles.py sums the same series term by term in O(K^3).
+# Both must give the same floats, so these compare with ==, not approx.
+
+
+def assert_series_identical(n, zeta, params, q, k):
+    risky = series_risky_frequency(n, zeta, params, q)
+    assert risky_frequency(n, zeta, params, q=q) == risky
+    assert age_frequency(k, n, params) == series_age_frequency(k, n, params)
+    for r in range(1, k + 2):
+        assert reach_probability(r, k, n, params) == series_reach_probability(r, k, n, params)
+    result = evaluate_threshold(n, params, zeta, q=q)
+    assert result.freq == {
+        j: q * series_age_frequency(j, n, params) for j in range(n + 1, max(n + 8, zeta + 4) + 1)
+    }
+    assert result.risky_freq == risky
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    p=st.floats(min_value=0.1, max_value=1.0),
+    lam=st.floats(min_value=0.1, max_value=1.0),
+    n=st.integers(min_value=1, max_value=6),
+    zeta_above=st.integers(min_value=1, max_value=6),
+    q=st.floats(min_value=0.0, max_value=1.0),
+    k_above=st.integers(min_value=1, max_value=12),
+)
+def test_closed_forms_equal_the_series_bit_for_bit(p, lam, n, zeta_above, q, k_above):
+    assert_series_identical(n, n + zeta_above, SystemParams(p=p, lam=lam), q, n + k_above)
+
+
+@pytest.mark.parametrize("p,lam", [(1.0, 0.5), (0.9, 1.0), (1.0, 1.0)])
+@pytest.mark.parametrize("n,zeta", [(1, 2), (2, 5), (3, 9)])
+def test_closed_forms_equal_the_series_in_the_deterministic_limits(p, lam, n, zeta):
+    assert_series_identical(n, zeta, SystemParams(p=p, lam=lam), 0.7, zeta + 3)
+
+
+def test_repeated_terms_end_the_risky_sum():
+    # the reach probabilities cancel to a constant 1.1e-16 past about ten
+    # ages, so the terms repeat; without the repeat stop this never returned
+    params = SystemParams(p=1.0, lam=0.969945730993683)
+    value = risky_frequency(4, 9, params)
+    assert value == series_risky_frequency(4, 9, params)
+    assert 0.0 < value < 1e-8
+
+
+def test_slow_channel_is_fast_and_equals_the_series():
+    start = time.perf_counter()
+    risky = risky_frequency(1, 5, SLOW)
+    assert time.perf_counter() - start < 0.5  # about 4 s through the term-by-term series
+    assert risky == series_risky_frequency(1, 5, SLOW)
+    result = evaluate_threshold(1, SLOW, 5)
+    assert result.risky_freq == risky
+    assert result.freq == {k: series_age_frequency(k, 1, SLOW) for k in range(2, 10)}
+    assert reach_probability(3, 600, 2, SLOW) == series_reach_probability(3, 600, 2, SLOW)
+
+
+def test_risk_constrained_threshold_on_a_slow_channel_reuses_the_risks():
+    start = time.perf_counter()
+    with pytest.raises(InfeasibleRiskBudgetError) as info:
+        risk_constrained_threshold(0.0, 5, SLOW)
+    assert time.perf_counter() - start < 1.0
+    assert info.value.min_risk == min(risky_frequency(n, 5, SLOW) for n in range(1, 5))
+
+
+def test_long_age_table_is_quadratic_and_equals_the_series():
+    start = time.perf_counter()
+    result = evaluate_threshold(2, DEFAULTS, 5, k_max=600)
+    assert time.perf_counter() - start < 0.5  # minutes at k_max = 2000 through the series
+    assert sorted(result.freq) == list(range(3, 601))
+    # the series costs O(k^2) per age, so it checks a spread of ages
+    for k in (*range(3, 600, 41), 599, 600):
+        assert result.freq[k] == series_age_frequency(k, 2, DEFAULTS)
 
 
 # --- optimizers ------------------------------------------------------------

@@ -26,7 +26,6 @@ from agelab.cli import main
 from agelab.experiments import (
     CSV_COLUMNS,
     RunStats,
-    _baseline_threshold,
     _namespaces,
     comparison_rows,
     emit_plot_data,
@@ -92,13 +91,6 @@ def test_evaluate_exact_in_deterministic_limit():
 def test_evaluate_needs_a_run():
     with pytest.raises(ValueError, match="runs must be at least 1, got 0"):
         evaluate(ThresholdPolicy(1), EnvSpec("aoi"), test_steps=10, runs=0)
-
-
-def test_baseline_threshold_of_the_mismatch_metric_must_be_given():
-    spec = EnvSpec("aoii")
-    assert _baseline_threshold(spec, ExperimentConfig(env=spec, threshold=2)) == 2
-    with pytest.raises(ValueError, match="no closed-form optimum"):
-        _baseline_threshold(spec, ExperimentConfig(env=spec))
 
 
 def test_evaluate_is_deterministic():
