@@ -5,13 +5,19 @@ them to a finite table.  Each environment draws its random events from
 independent substreams (arrivals, channel, queries, source moves), so two
 environments built from the same seed produce identical event sequences and
 changing the policy never perturbs the events themselves.
+
+That independence is what ``threshold_rollouts`` uses: it draws one seed's
+events once, a block at a time, and steps every threshold policy of a sweep
+over them.  Each of its lanes equals ``run_policy`` of that threshold policy
+on a fresh environment of the same seed, bit for bit, because it sees the
+same events and adds up the same costs in the same order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Final, Iterator, NamedTuple, Protocol
+from itertools import chain, repeat
+from typing import Final, Iterator, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -31,6 +37,7 @@ __all__ = [
     "aoi_transition",
     "aoii_transition",
     "run_policy",
+    "threshold_rollouts",
 ]
 
 WAIT: Final[int] = 0
@@ -107,7 +114,11 @@ class StepOutcome(NamedTuple):
     success: bool
 
 
-def uniform_stream(rng: np.random.Generator, block: int = 8192) -> Iterator[float]:
+# Uniform draws are taken from a generator this many at a time.
+BLOCK: Final[int] = 8192
+
+
+def uniform_stream(rng: np.random.Generator, block: int = BLOCK) -> Iterator[float]:
     """Endless uniform [0, 1) draws, ``next()`` at a time.
 
     The values are exactly those of repeated ``rng.random()`` calls; they are
@@ -116,25 +127,30 @@ def uniform_stream(rng: np.random.Generator, block: int = 8192) -> Iterator[floa
     return chain.from_iterable(iter(lambda: rng.random(block).tolist(), None))
 
 
+def _substreams(seed: int | np.random.SeedSequence) -> list[np.random.Generator]:
+    """The arrival, channel, query and source generators derived from one seed."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    # Children are built by explicit spawn key rather than spawn(), so
+    # deriving them twice from one SeedSequence replays the same substreams
+    # (spawn() would advance the parent's child counter).
+    return [
+        np.random.default_rng(
+            np.random.SeedSequence(entropy=seed.entropy, spawn_key=seed.spawn_key + (i,))
+        )
+        for i in range(4)
+    ]
+
+
 class EventStreams:
     """Independent per-event-type substreams derived from one seed."""
 
     __slots__ = ("arrival", "channel", "query", "source")
 
     def __init__(self, seed: int | np.random.SeedSequence) -> None:
-        if not isinstance(seed, np.random.SeedSequence):
-            seed = np.random.SeedSequence(seed)
-        # Children are built by explicit spawn key rather than spawn(), so
-        # constructing EventStreams twice from one SeedSequence replays the
-        # same substreams (spawn() would advance the parent's child counter).
-        arrival, channel, query, source = (
-            np.random.SeedSequence(entropy=seed.entropy, spawn_key=seed.spawn_key + (i,))
-            for i in range(4)
+        self.arrival, self.channel, self.query, self.source = map(
+            uniform_stream, _substreams(seed)
         )
-        self.arrival = uniform_stream(np.random.default_rng(arrival))
-        self.channel = uniform_stream(np.random.default_rng(channel))
-        self.query = uniform_stream(np.random.default_rng(query))
-        self.source = uniform_stream(np.random.default_rng(source))
 
 
 class AoiEnv:
@@ -158,6 +174,7 @@ class AoiEnv:
         self.zeta = zeta
         self.query = query
         self.metric = "aoi" if query is None else "qaoi"
+        self.seed = seed
         self._streams = EventStreams(seed)
         self.state: AoIState = INITIAL_AOI
 
@@ -201,6 +218,7 @@ class AoiiEnv:
         # the value (p_r) when synced, returning to the receiver's (p_c) when not
         self._event_prob = (source.p_c, source.p_r)
         self.zeta_aoii = zeta_aoii
+        self.seed = seed
         self._streams = EventStreams(seed)
         self.state: AoIIState = INITIAL_AOII
 
@@ -252,3 +270,95 @@ def run_policy(env: AoiEnv | AoiiEnv, policy: Policy, horizon: int) -> Trajector
         risky_freq=risky_count / horizon,
         send_count=send_count,
     )
+
+
+def _age_lane(n, rx, cost_sum, risky, sends, txs, oks, asks, alpha, bn, zeta):
+    """One ThresholdPolicy(n) over a block; txs holds the sender age before each step."""
+    for tx, ok, asked in zip(txs, oks, asks):
+        if rx - tx >= n:
+            sends += 1
+            rx = tx + 1 if ok else rx + 1
+            age = rx if asked else 0
+            cost_sum += alpha * age + bn
+        else:
+            rx += 1
+            age = rx if asked else 0
+            cost_sum += alpha * age
+        if age >= zeta:
+            risky += 1
+    return rx, cost_sum, risky, sends
+
+
+def _mismatch_lane(theta, age, cost_sum, risky, sends, oks, keeps, returns, alpha, bn, zeta):
+    """One AoiiThresholdPolicy(theta) over a block; a state is synced exactly at age 0."""
+    for ok, keep, back in zip(oks, keeps, returns):
+        if age >= theta:
+            sends += 1
+            age = 0 if ok or (back if age else keep) else age + 1
+            cost_sum += alpha * age + bn
+        else:
+            age = 0 if (back if age else keep) else age + 1
+            cost_sum += alpha * age
+        if age >= zeta:
+            risky += 1
+    return age, cost_sum, risky, sends
+
+
+def threshold_rollouts(
+    env: AoiEnv | AoiiEnv, thresholds: Sequence[int], horizon: int
+) -> list[TrajectoryStats]:
+    """Roll out one threshold policy per entry of ``thresholds`` on the events of env's seed.
+
+    Entry i equals ``run_policy`` of ``ThresholdPolicy(thresholds[i])`` (of
+    ``AoiiThresholdPolicy`` for aoii) on a freshly built env with the same
+    settings and seed, bit for bit.  env is read for its settings and seed
+    only; it is not stepped.  The events are drawn one block of ``BLOCK`` per
+    substream at a time and turned into booleans once, and every policy then
+    steps through them with its own state, cost sum and counts carried across
+    blocks, so memory does not grow with the horizon.
+    """
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    params = env.params
+    alpha, bn = params.alpha, params.beta * params.nu
+    arrival_rng, channel_rng, query_rng, source_rng = _substreams(env.seed)
+    if env.metric == "aoii":
+        zeta = env.zeta_aoii
+        lanes = [[theta, INITIAL_AOII[1], 0.0, 0, 0] for theta in thresholds]
+    else:
+        zeta = env.zeta
+        lanes = [[n, INITIAL_AOI[1], 0.0, 0, 0] for n in thresholds]
+    tx = INITIAL_AOI[0]
+    for start in range(0, horizon, BLOCK):
+        size = min(BLOCK, horizon - start)
+        oks = (channel_rng.random(size) < params.p).tolist()
+        if env.metric == "aoii":
+            source = source_rng.random(size)
+            keeps = (source < env.source.p_r).tolist()
+            returns = (source < env.source.p_c).tolist()
+            for lane in lanes:
+                lane[1:] = _mismatch_lane(*lane, oks, keeps, returns, alpha, bn, zeta)
+        else:
+            # The sender age after step t is the number of steps since the
+            # last arrival; the age carried into the block counts as an
+            # arrival that many steps before it.
+            steps = np.arange(1, size + 1)
+            arrivals = arrival_rng.random(size) < params.lam
+            after = steps - np.maximum.accumulate(np.where(arrivals, steps, -tx))
+            txs = [tx, *after[:-1].tolist()]
+            tx = int(after[-1])
+            if env.query is None:
+                asks = repeat(True)
+            else:
+                asks = (query_rng.random(size) < env.query.q).tolist()
+            for lane in lanes:
+                lane[1:] = _age_lane(*lane, txs, oks, asks, alpha, bn, zeta)
+    return [
+        TrajectoryStats(
+            steps=horizon,
+            avg_cost=cost_sum / horizon,
+            risky_freq=risky / horizon,
+            send_count=sends,
+        )
+        for _, _, cost_sum, risky, sends in lanes
+    ]

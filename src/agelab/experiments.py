@@ -3,9 +3,13 @@
 Every experiment derives its per-run seeds from one base seed, and the
 evaluation seeds are shared across strategies within a comparison, so
 reported differences between strategies are paired rather than noise from
-different event sequences.  An experiment returns only what it measured
-and the choices it made (a baseline threshold); closed-form overlays and
-row labels are left to the caller.
+different event sequences.  ``_evaluation_seeds`` is the one place those
+seeds come from, for both rollout paths: ``evaluate`` runs one policy per
+seed through ``run_policy``, and ``threshold_sweep`` runs every threshold
+of a sweep on each seed's events at once through ``threshold_rollouts``,
+which gives the same numbers bit for bit.  An experiment returns only what
+it measured and the choices it made (a baseline threshold); closed-form
+overlays and row labels are left to the caller.
 """
 
 from __future__ import annotations
@@ -13,12 +17,12 @@ from __future__ import annotations
 import csv
 from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .analytic import optimal_threshold
-from .env import AoiEnv, AoiiEnv, Policy, run_policy
+from .env import AoiEnv, AoiiEnv, Policy, TrajectoryStats, run_policy, threshold_rollouts
 from .learning import LearningParams, train
 from .params import QuerySpec, RiskSpec, SourceSpec, SystemParams
 from .strategy import AoiiThresholdPolicy, GreedyPolicy, RandomPolicy, ThresholdPolicy
@@ -130,10 +134,26 @@ class RunStats:
             send_rates=tuple(send_rates),
         )
 
+    @classmethod
+    def from_trajectories(cls, runs: Sequence[TrajectoryStats]) -> RunStats:
+        """Aggregates of one policy's per-run trajectories, in run order."""
+        return cls.from_runs(
+            [run.avg_cost for run in runs],
+            [run.risky_freq for run in runs],
+            [run.send_count / run.steps for run in runs],
+        )
+
 
 def _namespaces(base_seed: int) -> tuple[np.random.SeedSequence, ...]:
     # order: evaluation envs, policy rngs, training envs, exploration
     return tuple(np.random.SeedSequence(base_seed).spawn(4))
+
+
+def _evaluation_seeds(base_seed: int, runs: int) -> list[np.random.SeedSequence]:
+    """The environment seed of each run; every rollout from base_seed uses these."""
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
+    return _namespaces(base_seed)[0].spawn(runs)
 
 
 PolicyLike = Policy | Callable[[int], Policy]
@@ -150,23 +170,15 @@ def evaluate(
 
     ``policy`` is either a fixed policy reused across runs or a callable
     that builds the policy for run index i (a random sender on its own
-    stream, a learner trained for that run).  The environment seeds depend
-    only on base_seed and the run index, so every strategy evaluated with
-    the same base seed faces identical events.
+    stream, a learner trained for that run).  The environment seeds come
+    from ``_evaluation_seeds`` and depend only on base_seed and the run
+    index, so every strategy evaluated with the same base seed, and every
+    point of a ``threshold_sweep`` with it, faces identical events.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be at least 1, got {runs}")
-    env_seeds = _namespaces(base_seed)[0].spawn(runs)
-    costs: list[float] = []
-    risky: list[float] = []
-    send_rates: list[float] = []
-    for i, env_seed in enumerate(env_seeds):
-        run_policy_obj = policy(i) if callable(policy) else policy
-        stats = run_policy(env_spec.build(env_seed), run_policy_obj, test_steps)
-        costs.append(stats.avg_cost)
-        risky.append(stats.risky_freq)
-        send_rates.append(stats.send_count / stats.steps)
-    return RunStats.from_runs(costs, risky, send_rates)
+    return RunStats.from_trajectories([
+        run_policy(env_spec.build(env_seed), policy(i) if callable(policy) else policy, test_steps)
+        for i, env_seed in enumerate(_evaluation_seeds(base_seed, runs))
+    ])
 
 
 @dataclass(frozen=True)
@@ -191,14 +203,25 @@ def _threshold_policy(metric: str, value: int) -> Policy:
 
 
 def threshold_sweep(metric: str, thresholds: list[int], config: ExperimentConfig) -> SweepResult:
-    """Evaluate threshold policies in ascending order on shared evaluation seeds."""
+    """Evaluate threshold policies in ascending order on shared evaluation seeds.
+
+    Each point equals ``evaluate`` of its threshold policy under the
+    config's run profile; all thresholds are rolled out together on each
+    run's events.
+    """
     if not thresholds:
         raise ValueError("thresholds must be a nonempty list")
+    values = sorted(thresholds)
+    for value in values:
+        _threshold_policy(metric, value)  # rejects an invalid threshold before any draw
     spec = replace(config.env, metric=metric)
-    profile = (config.test_steps, config.runs, config.base_seed)
+    runs = [
+        threshold_rollouts(spec.build(env_seed), values, config.test_steps)
+        for env_seed in _evaluation_seeds(config.base_seed, config.runs)
+    ]
     points = [
-        SweepPoint(value, evaluate(_threshold_policy(metric, value), spec, *profile))
-        for value in sorted(thresholds)
+        SweepPoint(value, RunStats.from_trajectories([run[i] for run in runs]))
+        for i, value in enumerate(values)
     ]
     return SweepResult(
         variable="theta" if metric == "aoii" else "n",

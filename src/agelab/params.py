@@ -11,6 +11,7 @@ the query-gated receiver age and the mismatch age alike.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -34,7 +35,7 @@ class SystemParams:
 
     ``p`` and ``lam`` must be strictly positive; the deterministic limits
     ``p = 1`` and ``lam = 1`` are allowed and every closed-form expression
-    evaluates exactly there.
+    evaluates exactly there.  The weights must be finite and nonnegative.
     """
 
     p: float = 0.9
@@ -52,6 +53,9 @@ class SystemParams:
             value = getattr(self, name)
             if not value >= 0.0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
+            # an infinite weight times an age or energy of 0 is nan
+            if value == math.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

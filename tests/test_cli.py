@@ -139,8 +139,12 @@ def test_bad_parameter_value_is_a_usage_failure(capsys):
         (["analytic", "--threshold", "2", "--alpha", "nan"], "alpha must be nonnegative, got nan"),
         (["optimize", "--nu", "nan"], "nu must be nonnegative, got nan"),
         (["optimize", "--risk-budget", "nan"], "budget must be nonnegative, got nan"),
+        (["simulate", "--metric", "qaoi", "--alpha", "inf"], "alpha must be finite, got inf"),
+        (["optimize", "--beta", "inf"], "beta must be finite, got inf"),
+        (["train", "--nu", "inf", "--learn-steps", "10"], "nu must be finite, got inf"),
     ],
-    ids=["train_rho", "analytic_alpha", "optimize_nu", "optimize_risk_budget"],
+    ids=["train_rho", "analytic_alpha", "optimize_nu", "optimize_risk_budget",
+         "simulate_alpha_inf", "optimize_beta_inf", "train_nu_inf"],
 )
 def test_nan_values_are_usage_failures(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)

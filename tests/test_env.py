@@ -6,17 +6,21 @@ the kernels here match the transition tables written out by hand.
 """
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from agelab import (
     AoiEnv,
     AoiiEnv,
+    EnvSpec,
     QuerySpec,
+    RiskSpec,
     SourceSpec,
     SystemParams,
     run_policy,
 )
+from agelab import env as env_module
 from agelab.env import (
+    BLOCK,
     INITIAL_AOI,
     INITIAL_AOII,
     SEND,
@@ -25,6 +29,7 @@ from agelab.env import (
     AoIState,
     aoi_transition,
     aoii_transition,
+    threshold_rollouts,
     uniform_stream,
 )
 from agelab.strategy import AoiiThresholdPolicy, RandomPolicy, ThresholdPolicy
@@ -274,3 +279,74 @@ def test_run_policy_aggregates_match_manual_replay():
 def test_run_policy_rejects_empty_horizon():
     with pytest.raises(ValueError):
         run_policy(AoiEnv(SystemParams(), seed=0), ThresholdPolicy(1), 0)
+
+
+# --- threshold lanes against the scalar rollout ----------------------------
+#
+# threshold_rollouts steps every threshold over one shared draw of a seed's
+# events; each lane must equal run_policy on a fresh env exactly, so these
+# compare with ==.
+
+probability = st.one_of(st.just(1.0), st.floats(min_value=1e-3, max_value=1.0))
+gate = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+weight = st.floats(min_value=0.0, max_value=4.0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    metric=st.sampled_from(["aoi", "qaoi", "aoii"]),
+    p=probability,
+    lam=probability,
+    q=gate,
+    p_r=gate,
+    weights=st.tuples(weight, weight, weight),
+    zeta=st.integers(min_value=1, max_value=9),
+    horizon=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5]),
+    thresholds=st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_threshold_rollouts_equal_run_policy(
+    metric, p, lam, q, p_r, weights, zeta, horizon, thresholds, seed
+):
+    nu, alpha, beta = weights
+    spec = EnvSpec(
+        metric,
+        SystemParams(p=p, lam=lam, nu=nu, alpha=alpha, beta=beta),
+        RiskSpec(zeta=zeta, zeta_aoii=zeta),
+        QuerySpec(q),
+        SourceSpec(p_r=p_r),
+    )
+    if metric == "aoii":
+        thresholds = [n - 1 for n in thresholds]  # theta = 0 always sends
+    lanes = threshold_rollouts(spec.build(seed), thresholds, horizon)
+    for value, lane in zip(thresholds, lanes, strict=True):
+        policy = AoiiThresholdPolicy(value) if metric == "aoii" else ThresholdPolicy(value)
+        assert lane == run_policy(spec.build(seed), policy, horizon)
+
+
+@pytest.mark.parametrize("metric, substreams", [("aoi", 2), ("qaoi", 3), ("aoii", 2)])
+def test_threshold_rollouts_hold_one_block_of_draws(monkeypatch, metric, substreams):
+    """Draws are taken a block at a time and only for the events the metric
+    reads, so memory does not grow with the horizon."""
+    requested = []
+
+    class Recording:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, size):
+            requested.append(size)
+            return self.rng.random(size)
+
+    derive = env_module._substreams
+    monkeypatch.setattr(
+        env_module, "_substreams", lambda seed: [Recording(rng) for rng in derive(seed)]
+    )
+    horizon = 3 * BLOCK + 5
+    threshold_rollouts(EnvSpec(metric).build(8), [1, 2, 3], horizon)
+    assert sorted(requested) == sorted(substreams * [BLOCK, BLOCK, BLOCK, 5])
+
+
+def test_threshold_rollouts_reject_empty_horizon():
+    with pytest.raises(ValueError, match="horizon must be at least 1, got 0"):
+        threshold_rollouts(AoiEnv(SystemParams(), seed=0), [1], 0)

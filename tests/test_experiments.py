@@ -22,6 +22,7 @@ from agelab import (
     optimal_threshold,
     threshold_sweep,
 )
+from agelab import env as env_module
 from agelab.cli import main
 from agelab.experiments import (
     CSV_COLUMNS,
@@ -155,6 +156,29 @@ def test_threshold_sweep_rejects_empty():
         threshold_sweep("aoi", [], FAST)
 
 
+@pytest.mark.parametrize(
+    "metric, values, message",
+    [("aoi", [2, 0], "threshold must be at least 1, got 0"),
+     ("aoii", [1, -1], "theta must be nonnegative, got -1")],
+)
+def test_threshold_sweep_validates_thresholds_before_any_draw(monkeypatch, metric, values, message):
+    def no_draws(seed):
+        raise AssertionError("events were drawn")
+
+    monkeypatch.setattr(env_module, "_substreams", no_draws)
+    with pytest.raises(ValueError, match=message):
+        threshold_sweep(metric, values, FAST)
+
+
+@pytest.mark.parametrize("metric, values", [("aoi", [1, 3]), ("qaoi", [2, 4]), ("aoii", [0, 2])])
+def test_threshold_sweep_points_equal_evaluate(metric, values):
+    sweep = threshold_sweep(metric, values, FAST)
+    spec = replace(FAST.env, metric=metric)
+    for point in sweep.points:
+        policy = AoiiThresholdPolicy(point.value) if metric == "aoii" else ThresholdPolicy(point.value)
+        assert point.stats == evaluate(policy, spec, FAST.test_steps, FAST.runs, FAST.base_seed)
+
+
 def test_learning_comparison_structure_and_pairing():
     comparison = learning_comparison("aoi", 3000, FAST)
     assert set(comparison) == {"random", "threshold", "qlearn", "qlearn_risk"}
@@ -179,7 +203,9 @@ def test_learning_comparison_mismatch_adds_always_send():
 def test_mismatch_baselines_come_from_the_threshold_sweep(monkeypatch):
     """Without a configured theta the aoii baselines are read off the sweep
     that picks theta, which ran on the same evaluation seeds; they equal
-    fresh evaluations, and no rollout is spent on them twice."""
+    fresh evaluations, and no rollout is spent on them twice.  The sweep
+    rolls its thresholds out together without stepping an env, so only the
+    learners and the greedy/random rollouts step one."""
     config = ExperimentConfig(
         learning=LearningParams(steps=500, a_max=32), test_steps=400, runs=2, base_seed=7
     )
@@ -193,8 +219,8 @@ def test_mismatch_baselines_come_from_the_threshold_sweep(monkeypatch):
 
     monkeypatch.setattr(AoiiEnv, "step", counted_step)
     comparison = learning_comparison("aoii", 500, config)
-    # 7 swept thresholds, two learners and three greedy/random rollouts per run
-    assert steps == 7 * 2 * 400 + 2 * (2 * 500 + 3 * 400)
+    # two learners and three greedy/random rollouts per run
+    assert steps == 2 * (2 * 500 + 3 * 400)
     monkeypatch.undo()
     spec = EnvSpec("aoii")
     for name, theta in (("threshold", comparison.threshold), ("always_send", 0)):

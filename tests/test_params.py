@@ -40,6 +40,10 @@ def test_default_parameters():
     ("nu", float("nan")),
     ("alpha", float("nan")),
     ("beta", float("nan")),
+    # an infinite weight turns a step with a zero age or no attempt into nan
+    ("nu", float("inf")),
+    ("alpha", float("inf")),
+    ("beta", float("inf")),
 ])
 def test_system_params_rejects_bad_values(field, value):
     with pytest.raises(ValueError):
