@@ -12,6 +12,7 @@ budget, 3 file I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -176,6 +177,9 @@ def _common_flags() -> argparse.ArgumentParser:
     return common
 
 
+# Built on the first main() call and reused by every later one in the
+# process; parse_args gives each call a fresh Namespace.
+@functools.cache
 def build_parser() -> _Parser:
     keys = ", ".join(sorted(CONFIG_SCHEMA))
     parser = _Parser(
@@ -196,8 +200,14 @@ def build_parser() -> _Parser:
     optimize = sub.add_parser(
         "optimize", parents=[common], help="find the cheapest threshold, optionally under a risk budget"
     )
-    optimize.add_argument("--risk-budget", dest="risk_budget", type=float)
-    optimize.add_argument("--n-max", dest="n_max", type=int, default=64)
+    optimize.add_argument(
+        "--risk-budget", dest="risk_budget", type=float,
+        help="largest allowed frequency of ages >= zeta; exit 2 if no threshold meets it",
+    )
+    optimize.add_argument(
+        "--n-max", dest="n_max", type=int, default=64,
+        help="largest threshold searched (default %(default)s)",
+    )
     optimize.set_defaults(func=cmd_optimize)
 
     simulate = sub.add_parser(

@@ -148,6 +148,9 @@ class LearningParams:
             raise ValueError(f"rate_power must be positive, got {self.rate_power}")
         if not self.rho >= 0.0:
             raise ValueError(f"rho must be nonnegative, got {self.rho}")
+        # an infinite multiplier times a risky cost of 0 is nan
+        if self.rho == math.inf:
+            raise ValueError(f"rho must be finite, got {self.rho}")
         _check_a_max(self.a_max)
 
 

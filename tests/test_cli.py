@@ -1,10 +1,15 @@
 """End-to-end command-line checks: exit codes, config handling, outputs."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from agelab.cli import UsageError, format_config_text, main, parse_config_text
+import agelab
+from agelab.cli import UsageError, build_parser, format_config_text, main, parse_config_text
 
 CSV_HEADER = (
     "experiment_id", "metric", "strategy", "param", "learn_steps", "test_steps", "runs",
@@ -63,6 +68,120 @@ def test_help_lists_config_keys(capsys):
     assert code == 0
     assert "configuration file keys" in out
     assert "zeta_aoii" in out
+
+
+def test_optimize_help_describes_its_own_flags(capsys):
+    code, out, _ = run_cli(["optimize", "--help"], capsys)
+    assert code == 0
+    for flag in ("--risk-budget RISK_BUDGET", "--n-max N_MAX"):
+        described = out.split(flag, 1)[1].split("\n  -", 1)[0]
+        assert described.strip(), flag
+
+
+# one process, many calls: the parser is built on the first call and reused
+
+# Mixed calls that could leak into each other through a shared parser: a
+# flag, a default, the subcommand's func, a parse error or the --config file.
+REUSE_SEQUENCE = [
+    ["--help"],
+    ["optimize", "--risk-budget", "0.08", "--n-max", "3"],
+    ["optimize"],
+    ["analytic", "--threshold", "2", "--k-max", "12"],
+    ["analytic", "--threshold", "2"],
+    ["optimize", "--p", "2"],
+    ["optimize"],
+    ["optimize", "--n-max", "x"],
+    ["analytic", "--threshold", "2"],
+    ["analytic", "--config", "CONFIG"],
+    ["analytic", "--threshold", "2"],
+    [],
+    ["optimize", "--help"],
+    ["train", "--learn-steps", "200", "--a-max", "8", "--out", "q.csv"],
+    ["train", "--learn-steps", "200", "--a-max", "8", "--metric", "qaoi"],
+    ["optimize", "--risk-budget", "0.001"],
+    ["optimize"],
+    ["--help"],
+]
+REUSE_CONFIG = "metric = qaoi\nthreshold = 3\nzeta = 6\n"
+SOURCE_ROOT = str(Path(agelab.__file__).resolve().parents[1])
+
+
+def _fresh_interpreter_env():
+    path = [SOURCE_ROOT, *filter(None, [os.environ.get("PYTHONPATH")])]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+def _written_files(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def _call_in_this_process(argv, directory, capsys, monkeypatch):
+    """Exit code, stdout, stderr and the files the call wrote."""
+    directory.mkdir()
+    monkeypatch.chdir(directory)
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, _written_files(directory)
+
+
+def _call_in_fresh_interpreter(argv, directory, env):
+    directory.mkdir()
+    script = "import sys; from agelab.cli import main; sys.exit(main(sys.argv[1:]))"
+    result = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        cwd=directory, capture_output=True, text=True, env=env,
+    )
+    return result.returncode, result.stdout, result.stderr, _written_files(directory)
+
+
+def test_calls_in_one_process_match_each_call_in_a_fresh_interpreter(
+    capsys, tmp_path, monkeypatch
+):
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps at the same width on both sides
+    config = tmp_path / "run.cfg"
+    config.write_text(REUSE_CONFIG)
+    sequence = [[str(config) if arg == "CONFIG" else arg for arg in argv] for argv in REUSE_SEQUENCE]
+    env = _fresh_interpreter_env()
+    fresh = {}
+    for i, argv in enumerate(sequence):
+        if tuple(argv) not in fresh:
+            fresh[tuple(argv)] = _call_in_fresh_interpreter(argv, tmp_path / f"fresh{i}", env)
+    build_parser.cache_clear()
+    for i, argv in enumerate(sequence):
+        reused = _call_in_this_process(argv, tmp_path / f"reused{i}", capsys, monkeypatch)
+        assert reused == fresh[tuple(argv)], argv
+    assert build_parser.cache_info().misses == 1
+    # the sequence reaches every outcome it is meant to check
+    outcomes = list(fresh.values())
+    assert {code for code, *_ in outcomes} == {0, 1, 2}
+    assert sum(bool(files) for *_, files in outcomes) == 2
+    assert fresh[tuple(sequence[9])][1].startswith("qaoi threshold 3, q=0.2\n")
+    assert fresh[tuple(sequence[10])][1].startswith("aoi threshold 2\n")
+
+
+def test_importing_the_cli_builds_no_parser():
+    script = """
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import agelab.cli
+at_import = len(built)
+with contextlib.redirect_stdout(io.StringIO()):
+    agelab.cli.main(["optimize"])
+    after_first = len(built)
+    agelab.cli.main(["analytic", "--threshold", "2"])
+    agelab.cli.main(["--help"])
+print(at_import, after_first > 0, len(built) == after_first)
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=_fresh_interpreter_env(), check=True,
+    )
+    assert result.stdout.split() == ["0", "True", "True"]
 
 
 # analytic
@@ -142,9 +261,13 @@ def test_bad_parameter_value_is_a_usage_failure(capsys):
         (["simulate", "--metric", "qaoi", "--alpha", "inf"], "alpha must be finite, got inf"),
         (["optimize", "--beta", "inf"], "beta must be finite, got inf"),
         (["train", "--nu", "inf", "--learn-steps", "10"], "nu must be finite, got inf"),
+        (
+            ["train", "--rho", "inf", "--learn-steps", "200", "--a-max", "8"],
+            "rho must be finite, got inf",
+        ),
     ],
     ids=["train_rho", "analytic_alpha", "optimize_nu", "optimize_risk_budget",
-         "simulate_alpha_inf", "optimize_beta_inf", "train_nu_inf"],
+         "simulate_alpha_inf", "optimize_beta_inf", "train_nu_inf", "train_rho_inf"],
 )
 def test_nan_values_are_usage_failures(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)

@@ -188,6 +188,7 @@ def test_qtable_dump_is_deterministic(tmp_path):
     ("rate_power", float("nan")),
     ("rho", -1.0),
     ("rho", float("nan")),
+    ("rho", float("inf")),
     ("a_max", 1),
 ])
 def test_learning_params_validation(field, value):
