@@ -5,6 +5,10 @@ an unreliable channel (receiver age, query-gated receiver age and mismatch
 age), evaluates threshold send policies in closed form, optimizes them
 under risk budgets and trains a risk-sensitive tabular learner against
 threshold and random baselines.
+
+Importing the package loads no numpy: the modules import it inside the
+functions that simulate, train or aggregate runs, so the closed forms and
+the command line's ``analytic`` and ``optimize`` start without it.
 """
 
 from .analytic import (

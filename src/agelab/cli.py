@@ -17,8 +17,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .analytic import (
     AnalyticInapplicableError,
     InfeasibleRiskBudgetError,
@@ -300,6 +298,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    import numpy as np
+
     config = resolve_config(args)
     metric = config.env.metric
     env_seed, explore_seed = np.random.SeedSequence(config.base_seed).spawn(2)

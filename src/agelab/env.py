@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Final, Iterator, NamedTuple, Protocol, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Final, Iterator, NamedTuple, Protocol, Sequence
 
 from .params import QuerySpec, SourceSpec, SystemParams, step_cost
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "WAIT",
@@ -129,6 +130,8 @@ def uniform_stream(rng: np.random.Generator, block: int = BLOCK) -> Iterator[flo
 
 def _substreams(seed: int | np.random.SeedSequence) -> list[np.random.Generator]:
     """The arrival, channel, query and source generators derived from one seed."""
+    import numpy as np
+
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     # Children are built by explicit spawn key rather than spawn(), so
@@ -317,6 +320,8 @@ def threshold_rollouts(
     steps through them with its own state, cost sum and counts carried across
     blocks, so memory does not grow with the horizon.
     """
+    import numpy as np
+
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     params = env.params

@@ -17,15 +17,16 @@ from __future__ import annotations
 import csv
 from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 from .analytic import optimal_threshold
 from .env import AoiEnv, AoiiEnv, Policy, TrajectoryStats, run_policy, threshold_rollouts
 from .learning import LearningParams, train
 from .params import QuerySpec, RiskSpec, SourceSpec, SystemParams
 from .strategy import AoiiThresholdPolicy, GreedyPolicy, RandomPolicy, ThresholdPolicy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EnvSpec",
@@ -101,6 +102,8 @@ class ExperimentConfig:
             raise ValueError(f"test_steps must be at least 1, got {self.test_steps}")
         if self.runs < 1:
             raise ValueError(f"runs must be at least 1, got {self.runs}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be nonnegative, got {self.base_seed}")
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,8 @@ class RunStats:
     def from_runs(
         cls, costs: list[float], risky: list[float], send_rates: list[float]
     ) -> RunStats:
+        import numpy as np
+
         def std(values: list[float]) -> float:
             return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
 
@@ -145,6 +150,8 @@ class RunStats:
 
 
 def _namespaces(base_seed: int) -> tuple[np.random.SeedSequence, ...]:
+    import numpy as np
+
     # order: evaluation envs, policy rngs, training envs, exploration
     return tuple(np.random.SeedSequence(base_seed).spawn(4))
 
@@ -259,6 +266,8 @@ def learning_comparison(
     learners share training seeds per run, and all strategies share
     evaluation seeds per run.
     """
+    import numpy as np
+
     spec = replace(config.env, metric=metric)
     _, pol_ns, train_ns, explore_ns = _namespaces(config.base_seed)
     pol_seeds = pol_ns.spawn(config.runs)

@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .env import SEND, WAIT, AoiEnv, AoiiEnv, AoIIState, AoIState, uniform_stream
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "QTable",
@@ -79,13 +80,6 @@ class QTable:
     metric: str
     a_max: int
     values: np.ndarray
-
-    @classmethod
-    def zeros(cls, metric: str, a_max: int) -> QTable:
-        if metric not in ("aoi", "qaoi", "aoii"):
-            raise ValueError(f"unknown metric {metric!r}")
-        _check_a_max(a_max)
-        return cls(metric=metric, a_max=a_max, values=np.zeros(_table_shape(metric, a_max)))
 
     def wait_slot(self) -> Callable[[AoIState | AoIIState], int]:
         """A function from a state to the position of its cell's wait entry
@@ -178,6 +172,8 @@ def train(
     table entry is touched per step; epsilon follows the closed form
     max(epsilon_min, epsilon0 * delta**i) after i steps.
     """
+    import numpy as np
+
     a_cap = params.a_max
     metric = env.metric
     shape = _table_shape(metric, a_cap)

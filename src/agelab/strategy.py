@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .env import SEND, WAIT, AoIIState, AoIState, uniform_stream
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ThresholdPolicy",

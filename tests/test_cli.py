@@ -1,7 +1,9 @@
 """End-to-end command-line checks: exit codes, config handling, outputs."""
 
 import csv
+import hashlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -124,9 +126,10 @@ def _call_in_this_process(argv, directory, capsys, monkeypatch):
     return code, captured.out, captured.err, _written_files(directory)
 
 
-def _call_in_fresh_interpreter(argv, directory, env):
+def _call_in_fresh_interpreter(argv, directory, env, prelude=""):
+    """Like _call_in_this_process; ``prelude`` runs before agelab is imported."""
     directory.mkdir()
-    script = "import sys; from agelab.cli import main; sys.exit(main(sys.argv[1:]))"
+    script = prelude + "import sys; from agelab.cli import main; sys.exit(main(sys.argv[1:]))"
     result = subprocess.run(
         [sys.executable, "-c", script, *argv],
         cwd=directory, capture_output=True, text=True, env=env,
@@ -182,6 +185,95 @@ print(at_import, after_first > 0, len(built) == after_first)
         capture_output=True, text=True, env=_fresh_interpreter_env(), check=True,
     )
     assert result.stdout.split() == ["0", "True", "True"]
+
+
+# numpy is imported on first use: only simulation, training and presets load it
+
+AGELAB_MODULES = ["agelab"] + [
+    f"agelab.{module.name}" for module in pkgutil.iter_modules(agelab.__path__)
+]
+BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None; "
+
+
+@pytest.mark.parametrize("module", AGELAB_MODULES)
+def test_importing_a_module_loads_no_numpy(module):
+    script = f"import sys, {module}; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=_fresh_interpreter_env(), check=True,
+    )
+    assert result.stdout == "False\n"
+
+
+# The closed-form commands, help and usage errors, each of which must run
+# with numpy unimportable.
+NUMPY_FREE_CALLS = [
+    ["optimize"],
+    ["optimize", "--metric", "qaoi"],
+    ["optimize", "--risk-budget", "0.08", "--n-max", "3"],
+    ["analytic", "--threshold", "2", "--k-max", "12"],
+    ["--help"],
+    ["optimize", "--p", "2"],
+    ["analytic", "--config", "CONFIG"],
+]
+
+
+def test_closed_form_commands_run_without_numpy(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    config = tmp_path / "run.cfg"
+    config.write_text(REUSE_CONFIG)
+    env = _fresh_interpreter_env()
+    codes = set()
+    for i, argv in enumerate(NUMPY_FREE_CALLS):
+        argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
+        free = _call_in_fresh_interpreter(argv, tmp_path / f"plain{i}", env)
+        blocked = _call_in_fresh_interpreter(argv, tmp_path / f"blocked{i}", env, BLOCK_NUMPY)
+        assert blocked == free, argv
+        codes.add(free[0])
+    assert codes == {0, 1}  # usage errors included
+    # the block holds: a simulation cannot start
+    code, _, err, _ = _call_in_fresh_interpreter(
+        ["simulate", "--runs", "1", "--test-steps", "10"], tmp_path / "simulate", env, BLOCK_NUMPY
+    )
+    assert code == 1
+    assert "import of numpy halted" in err
+
+
+# sha256 over the exit code, stdout, stderr and every written file of
+# commands that use numpy, at small profiles; recorded when numpy was still
+# imported with the package, so loading it on first use changed no byte.
+NUMPY_CALL_DIGESTS = {
+    ("simulate", "--metric", "qaoi", "--runs", "2", "--test-steps", "300", "--seed", "5",
+     "--out", "sim.csv"):
+        "28e05c843e8dbef959781b52b87e8b4fbd154a6c720415266764853f03fed9c3",
+    ("train", "--learn-steps", "2000", "--a-max", "16", "--seed", "3"):
+        "7faa69a675be0d227ceb8df4b93a3b4398594cc17d6d8a28dcc1f0f7f01150fb",
+    ("reproduce", "fig3a", "--runs", "2", "--test-steps", "400", "--seed", "1"):
+        "589104508c07ad41b8e5e7b37b4cd5a331a41b845cb7c7e4bebc7e610deefcab",
+}
+
+
+@pytest.mark.parametrize("argv", list(NUMPY_CALL_DIGESTS), ids=["simulate", "train", "fig3a"])
+def test_simulation_outputs_are_pinned(argv, tmp_path, capsys, monkeypatch):
+    code, out, err, files = _call_in_this_process(list(argv), tmp_path / "run", capsys, monkeypatch)
+    digest = hashlib.sha256(f"{code}\n{out}\n{err}\n".encode())
+    for name in sorted(files):
+        digest.update(name.encode() + b"\n" + files[name])
+    assert digest.hexdigest() == NUMPY_CALL_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize"],
+    ["analytic", "--threshold", "2"],
+    ["simulate", "--runs", "1"],
+    ["train"],
+    ["reproduce", "fig3a"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_is_a_usage_failure(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli([*argv, "--seed", "-1"], capsys)
+    assert (code, out, err) == (1, "", "error: base_seed must be nonnegative, got -1\n")
+    assert not list(tmp_path.iterdir())
 
 
 # analytic

@@ -67,6 +67,8 @@ def test_experiment_config_validation():
         ExperimentConfig(test_steps=0)
     with pytest.raises(ValueError):
         ExperimentConfig(runs=0)
+    with pytest.raises(ValueError, match="base_seed must be nonnegative, got -1"):
+        ExperimentConfig(base_seed=-1)
 
 
 def test_run_stats_aggregation():

@@ -14,6 +14,7 @@ import pytest
 from agelab import (
     AoiEnv,
     AoiiEnv,
+    EnvSpec,
     LearningParams,
     QTable,
     QuerySpec,
@@ -74,8 +75,14 @@ def textbook_qlearning(env, steps, seed, gamma=0.7, epsilon0=0.9, delta=0.999,
     return values, eps, risky_count
 
 
+def zero_table(metric, a_max):
+    """An all-zero table in the layout ``train`` returns (see test_qtable_shapes)."""
+    cells = (a_max + 1,) if metric == "aoii" else (a_max + 1, a_max + 1)
+    return QTable(metric, a_max, np.zeros(cells + (2,)))
+
+
 def as_array(values, metric, a_max):
-    table = QTable.zeros(metric, a_max)
+    table = zero_table(metric, a_max)
     for idx, pair in values.items():
         table.values[idx + (WAIT,)] = pair[WAIT]
         table.values[idx + (SEND,)] = pair[SEND]
@@ -83,7 +90,7 @@ def as_array(values, metric, a_max):
 
 
 def visits_array(visits, metric, a_max):
-    counts = np.zeros(QTable.zeros(metric, a_max).values.shape, dtype=np.int64)
+    counts = np.zeros(zero_table(metric, a_max).values.shape, dtype=np.int64)
     for idx, count in visits.items():
         counts[idx] = count
     return counts
@@ -93,22 +100,27 @@ def visits_array(visits, metric, a_max):
 
 
 def test_qtable_shapes():
-    assert QTable.zeros("aoi", 8).values.shape == (9, 9, 2)
-    assert QTable.zeros("qaoi", 8).values.shape == (9, 9, 2)
-    assert QTable.zeros("aoii", 8).values.shape == (9, 2)
-    with pytest.raises(ValueError):
-        QTable.zeros("foo", 8)
-    with pytest.raises(ValueError):
-        QTable.zeros("aoi", 1)
-    assert QTable.zeros("aoii", A_MAX_LIMIT).values.shape == (A_MAX_LIMIT + 1, 2)
+    """The table and visit counts train returns have a cell per clamped state
+    and two actions; the metric and the clamp are checked before training."""
+    short = LearningParams(steps=10, a_max=8)
+    for metric, shape in [("aoi", (9, 9, 2)), ("qaoi", (9, 9, 2)), ("aoii", (9, 2))]:
+        report = train(EnvSpec(metric).build(0), short, seed=0)
+        assert (report.table.metric, report.table.a_max) == (metric, 8)
+        assert report.table.values.shape == report.visits.shape == shape
+    widest = train(EnvSpec("aoii").build(0), LearningParams(steps=10, a_max=A_MAX_LIMIT))
+    assert widest.table.values.shape == (A_MAX_LIMIT + 1, 2)
+    with pytest.raises(ValueError, match="unknown metric 'foo'"):
+        EnvSpec("foo")
+    with pytest.raises(ValueError, match="at least 2, got 1"):
+        LearningParams(a_max=1)
     with pytest.raises(ValueError, match="100 MB"):
-        QTable.zeros("aoi", A_MAX_LIMIT + 1)
+        LearningParams(a_max=A_MAX_LIMIT + 1)
 
 
 def test_qtable_index_clamps():
     """A state's slot in the flattened table is its cell's; ages beyond
     a_max read the boundary cell."""
-    table = QTable.zeros("aoi", 4)
+    table = zero_table("aoi", 4)
     table.values[2, 3, WAIT] = 1.0
     table.values[4, 4, SEND] = 9.0
     flat = table.values.reshape(-1)
@@ -116,7 +128,7 @@ def test_qtable_index_clamps():
     assert flat[slot(AoIState(2, 3))] == 1.0
     assert flat[slot(AoIState(9, 30)) + 1] == 9.0
     assert slot(AoIState(4, 9)) == slot(AoIState(4, 4))
-    aoii = QTable.zeros("aoii", 4)
+    aoii = zero_table("aoii", 4)
     aoii.values[4, SEND] = 3.0
     flat = aoii.values.reshape(-1)
     assert flat[aoii.wait_slot()(AoIIState(False, 7)) + 1] == 3.0
@@ -124,13 +136,13 @@ def test_qtable_index_clamps():
 
 def test_qtable_action_values():
     """A state's slot holds its wait value and the next one its send value."""
-    table = QTable.zeros("aoi", 4)
+    table = zero_table("aoi", 4)
     table.values[1, 2, WAIT] = 5.0
     table.values[1, 2, SEND] = 7.0
     flat = table.values.reshape(-1)
     slot = table.wait_slot()
     assert (flat[slot(AoIState(1, 2))], flat[slot(AoIState(1, 2)) + 1]) == (5.0, 7.0)
-    aoii = QTable.zeros("aoii", 4)
+    aoii = zero_table("aoii", 4)
     aoii.values[0, WAIT] = 2.0
     flat = aoii.values.reshape(-1)
     assert flat[aoii.wait_slot()(AoIIState(True, 0))] == 2.0
@@ -140,7 +152,7 @@ def test_qtable_action_values():
 def test_qtable_dump_parses_back_exactly(metric, tmp_path):
     """Each table entry is one CSV row whose value parses back bit for bit."""
     rng = np.random.default_rng(3)
-    table = QTable.zeros(metric, 6)
+    table = zero_table(metric, 6)
     if metric == "aoii":
         table.values[:] = rng.standard_normal((7, 2))
     else:
@@ -162,7 +174,7 @@ def test_qtable_dump_parses_back_exactly(metric, tmp_path):
 
 
 def test_qtable_dump_is_deterministic(tmp_path):
-    table = QTable.zeros("aoii", 5)
+    table = zero_table("aoii", 5)
     table.values[2, SEND] = 1.2345678901234567
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"

@@ -65,7 +65,7 @@ def test_random_policy_extremes():
 
 
 def test_greedy_policy_prefers_lower_cost_and_ties_wait():
-    table = QTable.zeros("aoi", 8)
+    table = QTable("aoi", 8, np.zeros((9, 9, 2)))
     policy = GreedyPolicy(table)
     state = AoIState(1, 4)
     table.values[1, 4, WAIT] = 2.0
@@ -79,7 +79,7 @@ def test_greedy_policy_prefers_lower_cost_and_ties_wait():
 
 def test_greedy_policy_clamps_unseen_states():
     """Ages beyond the table fall back to the boundary entry."""
-    table = QTable.zeros("aoi", 4)
+    table = QTable("aoi", 4, np.zeros((5, 5, 2)))
     table.values[4, 4, WAIT] = 5.0
     table.values[4, 4, SEND] = 1.0
     policy = GreedyPolicy(table)
@@ -88,7 +88,7 @@ def test_greedy_policy_clamps_unseen_states():
 
 
 def test_greedy_policy_reads_aoii_tables():
-    table = QTable.zeros("aoii", 6)
+    table = QTable("aoii", 6, np.zeros((7, 2)))
     table.values[3, SEND] = -1.0
     policy = GreedyPolicy(table)
     assert policy.decide(AoIIState(False, 3)) == SEND
