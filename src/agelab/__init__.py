@@ -34,8 +34,6 @@ from .env import (
     WAIT,
     AoiEnv,
     AoiiEnv,
-    AoIIState,
-    AoIState,
     StepOutcome,
     TrajectoryStats,
     aoi_transition,

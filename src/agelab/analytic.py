@@ -109,7 +109,10 @@ def mean_period_length(n: int, params: SystemParams) -> float:
     _check_threshold(n)
     lam, p = params.lam, params.p
     base = (1.0 - p) / p + 1.0 + (1.0 - lam) / lam
-    wait = sum(start_age_weight(r, params) * (n - r) for r in range(1, n))
+    # a plain loop: sum() of floats is compensated from Python 3.12 on
+    wait = 0.0
+    for r in range(1, n):
+        wait += start_age_weight(r, params) * (n - r)
     return base + wait
 
 

@@ -6,6 +6,10 @@ independent substreams (arrivals, channel, queries, source moves), so two
 environments built from the same seed produce identical event sequences and
 changing the policy never perturbs the events themselves.
 
+A state is a plain tuple: ``(tx, rx)``, the sender and receiver ages, for
+aoi and qaoi, and ``(synced, age)``, the mismatch flag and mismatch age,
+for aoii.
+
 That independence is what ``threshold_rollouts`` uses: it draws one seed's
 events once, a block at a time, and steps every threshold policy of a sweep
 over them.  Each of its lanes equals ``run_policy`` of that threshold policy
@@ -27,11 +31,8 @@ if TYPE_CHECKING:
 __all__ = [
     "WAIT",
     "SEND",
-    "AoIState",
-    "AoIIState",
     "StepOutcome",
     "TrajectoryStats",
-    "EventStreams",
     "uniform_stream",
     "AoiEnv",
     "AoiiEnv",
@@ -45,27 +46,8 @@ WAIT: Final[int] = 0
 SEND: Final[int] = 1
 
 
-class AoIState(NamedTuple):
-    """Sender and receiver age of the freshest delivered/held update."""
-
-    aoi_tx: int
-    aoi_rx: int
-
-
-class AoIIState(NamedTuple):
-    """Mismatch indicator and mismatch age; synced states have age zero."""
-
-    synced: bool
-    aoii: int
-
-
-# The hot paths build states and outcomes with tuple.__new__, which skips
-# the Python-level __new__ that NamedTuple classes get.
-_new = tuple.__new__
-
-
-INITIAL_AOI: Final[AoIState] = AoIState(0, 1)
-INITIAL_AOII: Final[AoIIState] = AoIIState(True, 0)
+INITIAL_AOI: Final[tuple[int, int]] = (0, 1)
+INITIAL_AOII: Final[tuple[bool, int]] = (True, 0)
 
 
 class Policy(Protocol):
@@ -74,8 +56,8 @@ class Policy(Protocol):
     def decide(self, state) -> int: ...
 
 
-def aoi_transition(state: AoIState, action: int, arrival: bool, success: bool) -> AoIState:
-    """Next age pair after one step.
+def aoi_transition(state: tuple[int, int], action: int, arrival: bool, success: bool) -> tuple[int, int]:
+    """Next (tx, rx) age pair after one step.
 
     The sender age resets on an arrival and grows otherwise; the receiver
     age snaps to the delivered packet's age plus one on a successful
@@ -83,11 +65,11 @@ def aoi_transition(state: AoIState, action: int, arrival: bool, success: bool) -
     """
     tx = 0 if arrival else state[0] + 1
     if action == SEND and success:
-        return _new(AoIState, (tx, state[0] + 1))
-    return _new(AoIState, (tx, state[1] + 1))
+        return (tx, state[0] + 1)
+    return (tx, state[1] + 1)
 
 
-def aoii_transition(state: AoIIState, action: int, source_event: bool, success: bool) -> AoIIState:
+def aoii_transition(state: tuple[bool, int], action: int, source_event: bool, success: bool) -> tuple[bool, int]:
     """Next (synced, mismatch age) pair after one step.
 
     ``source_event`` is the sampled source move: from a synced state it
@@ -99,7 +81,7 @@ def aoii_transition(state: AoIIState, action: int, source_event: bool, success: 
     """
     if source_event or (action == SEND and success):
         return INITIAL_AOII
-    return _new(AoIIState, (False, state[1] + 1))
+    return (False, state[1] + 1)
 
 
 class StepOutcome(NamedTuple):
@@ -108,11 +90,16 @@ class StepOutcome(NamedTuple):
     ``success`` is True only for a delivered send attempt.
     """
 
-    next_state: AoIState | AoIIState
+    next_state: tuple[int, int] | tuple[bool, int]
     cost: float
     risky: bool
     sent: bool
     success: bool
+
+
+# The steps build outcomes with tuple.__new__, which skips the Python-level
+# __new__ that NamedTuple classes get.
+_new = tuple.__new__
 
 
 # Uniform draws are taken from a generator this many at a time.
@@ -128,12 +115,27 @@ def uniform_stream(rng: np.random.Generator, block: int = BLOCK) -> Iterator[flo
     return chain.from_iterable(iter(lambda: rng.random(block).tolist(), None))
 
 
+def _flags(rng: np.random.Generator, prob: float) -> Iterator[bool]:
+    """Endless ``rng.random() < prob`` events, compared a block at a time."""
+    return chain.from_iterable(iter(lambda: (rng.random(BLOCK) < prob).tolist(), None))
+
+
+def _seed_sequence(seed: int | np.random.SeedSequence, name: str = "seed") -> np.random.SeedSequence:
+    """``seed`` as numpy takes it; a negative integer is refused under the argument's name."""
+    import numpy as np
+
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    if seed < 0:
+        raise ValueError(f"{name} must be nonnegative, got {seed}")
+    return np.random.SeedSequence(seed)
+
+
 def _substreams(seed: int | np.random.SeedSequence) -> list[np.random.Generator]:
     """The arrival, channel, query and source generators derived from one seed."""
     import numpy as np
 
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
+    seed = _seed_sequence(seed)
     # Children are built by explicit spawn key rather than spawn(), so
     # deriving them twice from one SeedSequence replays the same substreams
     # (spawn() would advance the parent's child counter).
@@ -143,17 +145,6 @@ def _substreams(seed: int | np.random.SeedSequence) -> list[np.random.Generator]
         )
         for i in range(4)
     ]
-
-
-class EventStreams:
-    """Independent per-event-type substreams derived from one seed."""
-
-    __slots__ = ("arrival", "channel", "query", "source")
-
-    def __init__(self, seed: int | np.random.SeedSequence) -> None:
-        self.arrival, self.channel, self.query, self.source = map(
-            uniform_stream, _substreams(seed)
-        )
 
 
 class AoiEnv:
@@ -178,26 +169,26 @@ class AoiEnv:
         self.query = query
         self.metric = "aoi" if query is None else "qaoi"
         self.seed = seed
-        self._streams = EventStreams(seed)
-        self.state: AoIState = INITIAL_AOI
+        arrival, channel, asked, _ = _substreams(seed)
+        self._arrivals = _flags(arrival, params.lam)
+        self._delivered = _flags(channel, params.p)
+        self._queries = None if query is None else _flags(asked, query.q)
+        self.state: tuple[int, int] = INITIAL_AOI
 
     def step(self, action: int) -> StepOutcome:
-        params = self.params
-        streams = self._streams
-        arrival = next(streams.arrival) < params.lam
-        channel_ok = next(streams.channel) < params.p
+        channel_ok = next(self._delivered)
         sent = action == SEND
-        nxt = aoi_transition(self.state, action, arrival, channel_ok)
+        nxt = aoi_transition(self.state, action, next(self._arrivals), channel_ok)
         age = nxt[1]
-        if self.query is None:
+        if self._queries is None:
             risky = age >= self.zeta
         else:
-            query = next(streams.query) < self.query.q
+            query = next(self._queries)
             risky = query and age >= self.zeta
             if not query:
                 age = 0
         self.state = nxt
-        cost = step_cost(age, sent, params)
+        cost = step_cost(age, sent, self.params)
         return _new(StepOutcome, (nxt, cost, risky, sent, sent and channel_ok))
 
 
@@ -222,20 +213,22 @@ class AoiiEnv:
         self._event_prob = (source.p_c, source.p_r)
         self.zeta_aoii = zeta_aoii
         self.seed = seed
-        self._streams = EventStreams(seed)
-        self.state: AoIIState = INITIAL_AOII
+        _, channel, _, source_rng = _substreams(seed)
+        self._delivered = _flags(channel, params.p)
+        # the source event's probability depends on the state, so its draws
+        # stay uniforms and are compared one step at a time
+        self._source = uniform_stream(source_rng)
+        self.state: tuple[bool, int] = INITIAL_AOII
 
     def step(self, action: int) -> StepOutcome:
-        params = self.params
-        streams = self._streams
         state = self.state
-        source_event = next(streams.source) < self._event_prob[state[0]]
-        channel_ok = next(streams.channel) < params.p
+        source_event = next(self._source) < self._event_prob[state[0]]
+        channel_ok = next(self._delivered)
         sent = action == SEND
         nxt = aoii_transition(state, action, source_event, channel_ok)
         age = nxt[1]
         self.state = nxt
-        cost = step_cost(age, sent, params)
+        cost = step_cost(age, sent, self.params)
         return _new(StepOutcome, (nxt, cost, age >= self.zeta_aoii, sent, sent and channel_ok))
 
 
@@ -260,12 +253,11 @@ def run_policy(env: AoiEnv | AoiiEnv, policy: Policy, horizon: int) -> Trajector
     risky_count = 0
     send_count = 0
     for _ in range(horizon):
-        out = step(decide(state))
-        state = out.next_state
-        cost_sum += out.cost
-        if out.risky:
+        state, cost, risky, sent, _ = step(decide(state))
+        cost_sum += cost
+        if risky:
             risky_count += 1
-        if out.sent:
+        if sent:
             send_count += 1
     return TrajectoryStats(
         steps=horizon,

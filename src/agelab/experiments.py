@@ -20,7 +20,15 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 from .analytic import optimal_threshold
-from .env import AoiEnv, AoiiEnv, Policy, TrajectoryStats, run_policy, threshold_rollouts
+from .env import (
+    AoiEnv,
+    AoiiEnv,
+    Policy,
+    TrajectoryStats,
+    _seed_sequence,
+    run_policy,
+    threshold_rollouts,
+)
 from .learning import LearningParams, train
 from .params import QuerySpec, RiskSpec, SourceSpec, SystemParams
 from .strategy import AoiiThresholdPolicy, GreedyPolicy, RandomPolicy, ThresholdPolicy
@@ -150,10 +158,8 @@ class RunStats:
 
 
 def _namespaces(base_seed: int) -> tuple[np.random.SeedSequence, ...]:
-    import numpy as np
-
     # order: evaluation envs, policy rngs, training envs, exploration
-    return tuple(np.random.SeedSequence(base_seed).spawn(4))
+    return tuple(_seed_sequence(base_seed, "base_seed").spawn(4))
 
 
 def _evaluation_seeds(base_seed: int, runs: int) -> list[np.random.SeedSequence]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
-from .env import SEND, WAIT, AoiEnv, AoiiEnv, AoIIState, AoIState, uniform_stream
+from .env import SEND, WAIT, AoiEnv, AoiiEnv, _seed_sequence, uniform_stream
 
 if TYPE_CHECKING:
     import numpy as np
@@ -48,19 +48,19 @@ def _table_shape(metric: str, a_max: int) -> tuple[int, ...]:
     return (a_max + 1, a_max + 1, 2)
 
 
-def _wait_slot(metric: str, a_max: int) -> Callable[[AoIState | AoIIState], int]:
+def _wait_slot(metric: str, a_max: int) -> Callable[[tuple], int]:
     """Map a state to the position of its clamped cell's wait entry in the
     flattened (C-order) table; the send entry follows it."""
     if metric == "aoii":
 
-        def slot(state: AoIIState) -> int:
+        def slot(state: tuple[bool, int]) -> int:
             age = state[1]
             return 2 * (age if age < a_max else a_max)
 
     else:
         width = a_max + 1
 
-        def slot(state: AoIState) -> int:
+        def slot(state: tuple[int, int]) -> int:
             tx, rx = state
             return 2 * ((tx if tx < a_max else a_max) * width + (rx if rx < a_max else a_max))
 
@@ -81,7 +81,7 @@ class QTable:
     a_max: int
     values: np.ndarray
 
-    def wait_slot(self) -> Callable[[AoIState | AoIIState], int]:
+    def wait_slot(self) -> Callable[[tuple], int]:
         """A function from a state to the position of its cell's wait entry
         in ``values.reshape(-1)``; the send entry follows it."""
         return _wait_slot(self.metric, self.a_max)
@@ -182,7 +182,7 @@ def train(
     # QTable.values.reshape(-1), packed into arrays once training ends.
     q = [0.0] * math.prod(shape)
     visits = [0] * len(q)
-    uniform = uniform_stream(np.random.default_rng(seed))
+    uniform = uniform_stream(np.random.default_rng(_seed_sequence(seed)))
     gamma = params.gamma
     rho = params.rho
     const_rate = params.rate if params.rate_power is None else None
@@ -204,12 +204,11 @@ def train(
         eps = epsilon0 * delta**i
         if eps < epsilon_min:
             eps = epsilon_min
-        out = step(action)
-        cost = out.cost
-        if out.risky:
+        state, cost, risky, _, _ = step(action)
+        if risky:
             risky_seen += 1
             cost = rho * cost
-        there = slot_of(out.next_state)
+        there = slot_of(state)
         wait_value = q[there]
         send_value = q[there + 1]
         bootstrap = wait_value if wait_value <= send_value else send_value

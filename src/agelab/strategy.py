@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .env import SEND, WAIT, AoIIState, AoIState, uniform_stream
+from .env import SEND, WAIT, uniform_stream
 
 if TYPE_CHECKING:
     import numpy as np
@@ -20,9 +20,9 @@ __all__ = [
 class ThresholdPolicy:
     """Send exactly when the receiver's age exceeds the sender's by at least n.
 
-    The difference ``aoi_rx - aoi_tx`` is the age reduction a delivered
-    attempt would buy, so the rule spends energy only when the gain is
-    worth at least n.
+    The difference ``rx - tx`` of a ``(tx, rx)`` state is the age reduction
+    a delivered attempt would buy, so the rule spends energy only when the
+    gain is worth at least n.
     """
 
     def __init__(self, n: int) -> None:
@@ -31,12 +31,12 @@ class ThresholdPolicy:
         self.n = n
         self.name = f"threshold({n})"
 
-    def decide(self, state: AoIState) -> int:
-        return SEND if state.aoi_rx - state.aoi_tx >= self.n else WAIT
+    def decide(self, state: tuple[int, int]) -> int:
+        return SEND if state[1] - state[0] >= self.n else WAIT
 
 
 class AoiiThresholdPolicy:
-    """Send exactly when the mismatch age is at least theta.
+    """Send exactly when the mismatch age of a ``(synced, age)`` state is at least theta.
 
     A threshold of zero sends every step, including from synced states.
     """
@@ -47,8 +47,8 @@ class AoiiThresholdPolicy:
         self.theta = theta
         self.name = f"aoii-threshold({theta})"
 
-    def decide(self, state: AoIIState) -> int:
-        return SEND if state.aoii >= self.theta else WAIT
+    def decide(self, state: tuple[bool, int]) -> int:
+        return SEND if state[1] >= self.theta else WAIT
 
 
 class RandomPolicy:

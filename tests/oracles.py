@@ -18,8 +18,9 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.linalg import spsolve
 
-from agelab.env import SEND, WAIT, AoiEnv, AoIState, aoi_transition, aoii_transition, AoIIState
-from agelab.params import SourceSpec, SystemParams
+from agelab.env import SEND, WAIT, AoiEnv, _substreams, aoi_transition, aoii_transition
+from agelab.experiments import EnvSpec
+from agelab.params import SourceSpec, SystemParams, step_cost
 
 
 def aoi_event_probs(params: SystemParams) -> list[tuple[bool, bool, float]]:
@@ -60,7 +61,7 @@ def aoi_stationary(
     cols: list[int] = []
     vals: list[float] = []
     for (tx, rx), i in index.items():
-        state = AoIState(tx, rx)
+        state = (tx, rx)
         p_send = send_rule(tx, rx)
         for action, p_act in ((WAIT, 1.0 - p_send), (SEND, p_send)):
             if p_act == 0.0:
@@ -68,9 +69,9 @@ def aoi_stationary(
             for arrival, success, p_evt in events:
                 if p_evt == 0.0:
                     continue
-                nxt = aoi_transition(state, action, arrival, success)
-                rx2 = min(nxt.aoi_rx, cap)
-                tx2 = min(nxt.aoi_tx, rx2)
+                tx2, rx2 = aoi_transition(state, action, arrival, success)
+                rx2 = min(rx2, cap)
+                tx2 = min(tx2, rx2)
                 rows.append(i)
                 cols.append(index[(tx2, rx2)])
                 vals.append(p_act * p_evt)
@@ -140,7 +141,7 @@ def aoii_long_run(
     cols: list[int] = []
     vals: list[float] = []
     for age in range(cap + 1):
-        state = AoIIState(age == 0, age)
+        state = (age == 0, age)
         events = events_synced if age == 0 else events_miss
         p_send = send_rule(age)
         for action, p_act in ((WAIT, 1.0 - p_send), (SEND, p_send)):
@@ -149,9 +150,9 @@ def aoii_long_run(
             for source_event, success, p_evt in events:
                 if p_evt == 0.0:
                     continue
-                nxt = aoii_transition(state, action, source_event, success)
+                _, age2 = aoii_transition(state, action, source_event, success)
                 rows.append(age)
-                cols.append(min(nxt.aoii, cap))
+                cols.append(min(age2, cap))
                 vals.append(p_act * p_evt)
     kernel = sparse.csr_matrix((vals, (rows, cols)), shape=(cap + 1, cap + 1))
     pi = _solve(kernel)
@@ -166,6 +167,36 @@ def iterate_outcomes(env, policy, horizon: int):
     """Yield the raw step outcomes of a rollout."""
     for _ in range(horizon):
         yield env.step(policy.decide(env.state))
+
+
+def replay_steps(spec: EnvSpec, seed: int, actions: list[int]) -> list[tuple]:
+    """What ``spec.build(seed).step(action)`` returns for each action in turn.
+
+    Every event is one ``rng.random()`` call on the seed's own substream,
+    compared with its probability there and then, and the outcome is built
+    from the transition kernels and ``step_cost``; the environments' block
+    draws and precomputed event flags take no part.
+    """
+    arrival, channel, asked, source = _substreams(seed)
+    params = spec.params
+    state = (True, 0) if spec.metric == "aoii" else (0, 1)
+    outcomes = []
+    for action in actions:
+        sent = action == SEND
+        success = channel.random() < params.p
+        if spec.metric == "aoii":
+            stay = spec.source.p_r if state[0] else spec.source.p_c
+            state = aoii_transition(state, action, source.random() < stay, success)
+            age = state[1]
+            risky = age >= spec.risk.zeta_aoii
+        else:
+            state = aoi_transition(state, action, arrival.random() < params.lam, success)
+            age = state[1]
+            risky = age >= spec.risk.zeta
+            if spec.metric == "qaoi" and not asked.random() < spec.query.q:
+                age, risky = 0, False
+        outcomes.append((state, step_cost(age, sent, params), risky, sent, sent and success))
+    return outcomes
 
 
 def threshold_rule(n: int) -> Callable[[int, int], float]:
@@ -203,7 +234,7 @@ def period_records(
         if out.success:
             if start_age is not None:
                 records.append((start_age, length))
-            start_age = out.next_state.aoi_rx
+            start_age = out.next_state[1]
             length = 0
     return records
 
@@ -227,7 +258,9 @@ def series_start_age_weight(r: int, params: SystemParams) -> float:
 def series_period_length(n: int, params: SystemParams) -> float:
     lam, p = params.lam, params.p
     base = (1.0 - p) / p + 1.0 + (1.0 - lam) / lam
-    wait = sum(series_start_age_weight(r, params) * (n - r) for r in range(1, n))
+    wait = 0.0
+    for r in range(1, n):  # left to right, as sum() did before Python 3.12
+        wait += series_start_age_weight(r, params) * (n - r)
     return base + wait
 
 

@@ -13,8 +13,6 @@ import pytest
 
 from agelab import (
     AoiEnv,
-    AoIIState,
-    AoIState,
     EnvSpec,
     ExperimentConfig,
     LearningParams,
@@ -103,7 +101,7 @@ def test_accept_3_age_frequencies_match_a_ten_million_step_run(capsys):
     stats = run_policy(AoiEnv(DEFAULTS, zeta=5, seed=3), ThresholdPolicy(2), steps)
     # the same events again, counting how often each receiver age is visited
     visits = Counter(
-        out.next_state.aoi_rx
+        out.next_state[1]
         for out in iterate_outcomes(AoiEnv(DEFAULTS, zeta=5, seed=3), ThresholdPolicy(2), steps)
     )
     gaps = {}
@@ -241,7 +239,7 @@ def test_accept_7_plain_learner_cost_band(compare_aoii_long, capsys):
 
 def test_accept_8_model_invariants(capsys):
     # transition kernels are probability distributions over valid states
-    for state in (AoIState(0, 1), AoIState(2, 5)):
+    for state in ((0, 1), (2, 5)):
         for action in (0, 1):
             total = 0.0
             for arrival in (False, True):
@@ -249,17 +247,17 @@ def test_accept_8_model_invariants(capsys):
                     weight = (DEFAULTS.lam if arrival else 1 - DEFAULTS.lam) * (
                         DEFAULTS.p if success else 1 - DEFAULTS.p
                     )
-                    nxt = aoi_transition(state, action, arrival, success)
-                    assert 0 <= nxt.aoi_tx <= nxt.aoi_rx
+                    tx, rx = aoi_transition(state, action, arrival, success)
+                    assert 0 <= tx <= rx
                     total += weight
             assert total == pytest.approx(1.0)
-    for state in (AoIIState(True, 0), AoIIState(False, 3)):
+    for state in ((True, 0), (False, 3)):
         for action in (0, 1):
             for event in (False, True):
                 for success in (False, True):
-                    nxt = aoii_transition(state, action, event, success)
-                    assert nxt.aoii == 0 or nxt.aoii == state.aoii + 1
-                    assert nxt.synced == (nxt.aoii == 0)
+                    synced, age = aoii_transition(state, action, event, success)
+                    assert age == 0 or age == state[1] + 1
+                    assert synced == (age == 0)
 
     # start-age weights telescope to one minus the tail mass
     for params in (DEFAULTS, SystemParams(p=0.5, lam=0.3)):

@@ -25,8 +25,6 @@ from agelab.env import (
     INITIAL_AOII,
     SEND,
     WAIT,
-    AoIIState,
-    AoIState,
     aoi_transition,
     aoii_transition,
     threshold_rollouts,
@@ -36,7 +34,7 @@ from agelab.strategy import AoiiThresholdPolicy, RandomPolicy, ThresholdPolicy
 
 import numpy as np
 
-from oracles import iterate_outcomes
+from oracles import iterate_outcomes, replay_steps
 
 
 def aoi_next_distribution(state, action, params):
@@ -60,10 +58,10 @@ def merge(*pairs):
 @pytest.mark.parametrize("tx,rx", [(0, 1), (2, 5), (3, 3), (0, 7)])
 def test_aoi_wait_kernel_matches_table(tx, rx):
     params = SystemParams(p=0.9, lam=0.5)
-    state = AoIState(tx, rx)
+    state = (tx, rx)
     expected = merge(
-        (AoIState(0, rx + 1), params.lam),
-        (AoIState(tx + 1, rx + 1), 1.0 - params.lam),
+        ((0, rx + 1), params.lam),
+        ((tx + 1, rx + 1), 1.0 - params.lam),
     )
     assert aoi_next_distribution(state, WAIT, params) == pytest.approx(expected)
 
@@ -72,12 +70,12 @@ def test_aoi_wait_kernel_matches_table(tx, rx):
 def test_aoi_send_kernel_matches_table(tx, rx):
     params = SystemParams(p=0.9, lam=0.5)
     lam, p = params.lam, params.p
-    state = AoIState(tx, rx)
+    state = (tx, rx)
     expected = merge(
-        (AoIState(0, tx + 1), lam * p),
-        (AoIState(tx + 1, tx + 1), (1.0 - lam) * p),
-        (AoIState(0, rx + 1), lam * (1.0 - p)),
-        (AoIState(tx + 1, rx + 1), (1.0 - lam) * (1.0 - p)),
+        ((0, tx + 1), lam * p),
+        ((tx + 1, tx + 1), (1.0 - lam) * p),
+        ((0, rx + 1), lam * (1.0 - p)),
+        ((tx + 1, rx + 1), (1.0 - lam) * (1.0 - p)),
     )
     assert aoi_next_distribution(state, SEND, params) == pytest.approx(expected)
 
@@ -91,10 +89,10 @@ def test_aoi_send_kernel_matches_table(tx, rx):
 )
 def test_aoi_kernel_normalizes_and_preserves_order(tx, gap, lam, p, action):
     params = SystemParams(p=p, lam=lam)
-    dist = aoi_next_distribution(AoIState(tx, tx + gap), action, params)
+    dist = aoi_next_distribution((tx, tx + gap), action, params)
     assert sum(dist.values()) == pytest.approx(1.0)
-    for nxt in dist:
-        assert 0 <= nxt.aoi_tx <= nxt.aoi_rx
+    for tx2, rx2 in dist:
+        assert 0 <= tx2 <= rx2
 
 
 def test_aoii_kernel_matches_table():
@@ -110,25 +108,25 @@ def test_aoii_kernel_matches_table():
                 out[nxt] = out.get(nxt, 0.0) + ps * pc
         return out
 
-    synced = AoIIState(True, 0)
+    synced = (True, 0)
     assert dist(synced, WAIT, p_r) == pytest.approx(
-        {AoIIState(True, 0): p_r, AoIIState(False, 1): 1.0 - p_r}
+        {(True, 0): p_r, (False, 1): 1.0 - p_r}
     )
     assert dist(synced, SEND, p_r) == pytest.approx(
-        {AoIIState(True, 0): 1.0 - (1.0 - p_r) * (1.0 - p), AoIIState(False, 1): (1.0 - p_r) * (1.0 - p)}
+        {(True, 0): 1.0 - (1.0 - p_r) * (1.0 - p), (False, 1): (1.0 - p_r) * (1.0 - p)}
     )
-    behind = AoIIState(False, 4)
+    behind = (False, 4)
     assert dist(behind, WAIT, p_c) == pytest.approx(
-        {AoIIState(True, 0): p_c, AoIIState(False, 5): 1.0 - p_c}
+        {(True, 0): p_c, (False, 5): 1.0 - p_c}
     )
     assert dist(behind, SEND, p_c) == pytest.approx(
-        {AoIIState(True, 0): 1.0 - (1.0 - p_c) * (1.0 - p), AoIIState(False, 5): (1.0 - p_c) * (1.0 - p)}
+        {(True, 0): 1.0 - (1.0 - p_c) * (1.0 - p), (False, 5): (1.0 - p_c) * (1.0 - p)}
     )
 
 
 def test_initial_states():
-    assert INITIAL_AOI == AoIState(0, 1)
-    assert INITIAL_AOII == AoIIState(True, 0)
+    assert INITIAL_AOI == (0, 1)
+    assert INITIAL_AOII == (True, 0)
     env = AoiEnv(SystemParams(), seed=3)
     assert env.state == INITIAL_AOI
 
@@ -200,7 +198,7 @@ def test_event_streams_do_not_depend_on_policy():
         env = AoiEnv(params, seed=77)
         flags = []
         for out in iterate_outcomes(env, policy, 400):
-            flags.append(out.next_state.aoi_tx == 0)
+            flags.append(out.next_state[0] == 0)
         return flags
 
     assert arrivals(ThresholdPolicy(1)) == arrivals(ThresholdPolicy(4))
@@ -212,7 +210,7 @@ def test_deterministic_limit_always_send_cycles():
     env = AoiEnv(params, seed=0)
     for _ in range(50):
         out = env.step(SEND)
-        assert out.next_state == AoIState(0, 1)
+        assert out.next_state == (0, 1)
         assert out.cost == pytest.approx(params.alpha * 1 + params.beta * params.nu)
         assert out.success
 
@@ -222,7 +220,7 @@ def test_deterministic_limit_wait_grows_linearly():
     env = AoiEnv(params, seed=0)
     for k in range(2, 20):
         out = env.step(WAIT)
-        assert out.next_state.aoi_rx == k
+        assert out.next_state[1] == k
         assert not out.sent
 
 
@@ -230,9 +228,10 @@ def test_cost_and_risky_follow_landing_state():
     params = SystemParams()
     env = AoiEnv(params, zeta=5, seed=123)
     for out in iterate_outcomes(env, ThresholdPolicy(3), 400):
-        expected = params.alpha * out.next_state.aoi_rx + (params.beta * params.nu if out.sent else 0.0)
+        _, rx = out.next_state
+        expected = params.alpha * rx + (params.beta * params.nu if out.sent else 0.0)
         assert out.cost == pytest.approx(expected)
-        assert out.risky == (out.next_state.aoi_rx >= 5)
+        assert out.risky == (rx >= 5)
 
 
 def test_query_gating_zeroes_age_term_only():
@@ -244,7 +243,7 @@ def test_query_gating_zeroes_age_term_only():
         # the receiver age is at least one, so only a query step costs more than energy
         if out.cost != energy:
             queries += 1
-            assert out.cost == pytest.approx(params.alpha * out.next_state.aoi_rx + energy)
+            assert out.cost == pytest.approx(params.alpha * out.next_state[1] + energy)
         else:
             assert not out.risky
     assert 0.25 < queries / 1500 < 0.35  # q = 0.3; the binomial sd is 0.012
@@ -281,47 +280,64 @@ def test_run_policy_rejects_empty_horizon():
         run_policy(AoiEnv(SystemParams(), seed=0), ThresholdPolicy(1), 0)
 
 
-# --- threshold lanes against the scalar rollout ----------------------------
+# --- seeded rollouts against independent replays ---------------------------
 #
 # threshold_rollouts steps every threshold over one shared draw of a seed's
-# events; each lane must equal run_policy on a fresh env exactly, so these
-# compare with ==.
+# events, and env.step compares block draws with their probabilities; each
+# must equal a step-by-step replay exactly, so these compare with ==.
 
 probability = st.one_of(st.just(1.0), st.floats(min_value=1e-3, max_value=1.0))
 gate = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
 weight = st.floats(min_value=0.0, max_value=4.0)
 
 
+@st.composite
+def env_specs(draw):
+    """Any metric, with p and lam in [1e-3, 1] and q and p_r at or between 0 and 1."""
+    nu, alpha, beta = draw(st.tuples(weight, weight, weight))
+    zeta = draw(st.integers(min_value=1, max_value=9))
+    return EnvSpec(
+        draw(st.sampled_from(["aoi", "qaoi", "aoii"])),
+        SystemParams(p=draw(probability), lam=draw(probability), nu=nu, alpha=alpha, beta=beta),
+        RiskSpec(zeta=zeta, zeta_aoii=zeta),
+        QuerySpec(draw(gate)),
+        SourceSpec(p_r=draw(gate)),
+    )
+
+
 @settings(deadline=None, max_examples=40)
 @given(
-    metric=st.sampled_from(["aoi", "qaoi", "aoii"]),
-    p=probability,
-    lam=probability,
-    q=gate,
-    p_r=gate,
-    weights=st.tuples(weight, weight, weight),
-    zeta=st.integers(min_value=1, max_value=9),
+    spec=env_specs(),
     horizon=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5]),
     thresholds=st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=3),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_threshold_rollouts_equal_run_policy(
-    metric, p, lam, q, p_r, weights, zeta, horizon, thresholds, seed
-):
-    nu, alpha, beta = weights
-    spec = EnvSpec(
-        metric,
-        SystemParams(p=p, lam=lam, nu=nu, alpha=alpha, beta=beta),
-        RiskSpec(zeta=zeta, zeta_aoii=zeta),
-        QuerySpec(q),
-        SourceSpec(p_r=p_r),
-    )
-    if metric == "aoii":
+def test_threshold_rollouts_equal_run_policy(spec, horizon, thresholds, seed):
+    if spec.metric == "aoii":
         thresholds = [n - 1 for n in thresholds]  # theta = 0 always sends
     lanes = threshold_rollouts(spec.build(seed), thresholds, horizon)
     for value, lane in zip(thresholds, lanes, strict=True):
-        policy = AoiiThresholdPolicy(value) if metric == "aoii" else ThresholdPolicy(value)
+        policy = AoiiThresholdPolicy(value) if spec.metric == "aoii" else ThresholdPolicy(value)
         assert lane == run_policy(spec.build(seed), policy, horizon)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    spec=env_specs(),
+    send_prob=gate,
+    horizon=st.sampled_from([BLOCK + 1, 2 * BLOCK + 5]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_step_equals_a_replay_of_single_draws(spec, send_prob, horizon, seed):
+    """Every field of every outcome of env.step, under arbitrary actions and
+    across block boundaries, equals the replay from one draw per event."""
+    draws = np.random.default_rng([seed, 1]).random(horizon).tolist()
+    actions = [SEND if u < send_prob else WAIT for u in draws]
+    env = spec.build(seed)
+    replay = replay_steps(spec, seed, actions)
+    for i, (action, expected) in enumerate(zip(actions, replay, strict=True)):
+        assert env.step(action) == expected, f"step {i}"
+    assert env.state == replay[-1][0]
 
 
 @pytest.mark.parametrize("metric, substreams", [("aoi", 2), ("qaoi", 3), ("aoii", 2)])

@@ -71,6 +71,18 @@ def test_experiment_config_validation():
         ExperimentConfig(base_seed=-1)
 
 
+def test_library_entry_points_name_a_negative_seed():
+    """A negative seed is refused where it enters numpy, under the argument's name."""
+    with pytest.raises(ValueError, match="^seed must be nonnegative, got -3$"):
+        AoiEnv(SystemParams(), seed=-3)
+    with pytest.raises(ValueError, match="^seed must be nonnegative, got -3$"):
+        AoiiEnv(SystemParams(), SourceSpec(), seed=-3)
+    with pytest.raises(ValueError, match="^base_seed must be nonnegative, got -1$"):
+        evaluate(ThresholdPolicy(2), EnvSpec("aoi"), test_steps=10, runs=1, base_seed=-1)
+    with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+        train(EnvSpec("aoi").build(0), LearningParams(steps=10), seed=-1)
+
+
 def test_run_stats_aggregation():
     stats = RunStats.from_runs([1.0, 2.0, 3.0], [0.1, 0.2, 0.3], [0.5, 0.5, 0.5])
     assert stats.mean_cost == pytest.approx(2.0)

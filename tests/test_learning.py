@@ -22,7 +22,7 @@ from agelab import (
     SystemParams,
     train,
 )
-from agelab.env import SEND, WAIT, AoIIState, AoIState
+from agelab.env import SEND, WAIT
 from agelab.learning import A_MAX_LIMIT
 from agelab.strategy import GreedyPolicy
 
@@ -43,8 +43,10 @@ def textbook_qlearning(env, steps, seed, gamma=0.7, epsilon0=0.9, delta=0.999,
 
     def clamp(state):
         if env.metric == "aoii":
-            return (min(state.aoii, a_max),)
-        return (min(state.aoi_tx, a_max), min(state.aoi_rx, a_max))
+            _, age = state
+            return (min(age, a_max),)
+        tx, rx = state
+        return (min(tx, a_max), min(rx, a_max))
 
     def cell(state):
         return values.setdefault(clamp(state), [0.0, 0.0])
@@ -125,13 +127,13 @@ def test_qtable_index_clamps():
     table.values[4, 4, SEND] = 9.0
     flat = table.values.reshape(-1)
     slot = table.wait_slot()
-    assert flat[slot(AoIState(2, 3))] == 1.0
-    assert flat[slot(AoIState(9, 30)) + 1] == 9.0
-    assert slot(AoIState(4, 9)) == slot(AoIState(4, 4))
+    assert flat[slot((2, 3))] == 1.0
+    assert flat[slot((9, 30)) + 1] == 9.0
+    assert slot((4, 9)) == slot((4, 4))
     aoii = zero_table("aoii", 4)
     aoii.values[4, SEND] = 3.0
     flat = aoii.values.reshape(-1)
-    assert flat[aoii.wait_slot()(AoIIState(False, 7)) + 1] == 3.0
+    assert flat[aoii.wait_slot()((False, 7)) + 1] == 3.0
 
 
 def test_qtable_action_values():
@@ -141,11 +143,11 @@ def test_qtable_action_values():
     table.values[1, 2, SEND] = 7.0
     flat = table.values.reshape(-1)
     slot = table.wait_slot()
-    assert (flat[slot(AoIState(1, 2))], flat[slot(AoIState(1, 2)) + 1]) == (5.0, 7.0)
+    assert (flat[slot((1, 2))], flat[slot((1, 2)) + 1]) == (5.0, 7.0)
     aoii = zero_table("aoii", 4)
     aoii.values[0, WAIT] = 2.0
     flat = aoii.values.reshape(-1)
-    assert flat[aoii.wait_slot()(AoIIState(True, 0))] == 2.0
+    assert flat[aoii.wait_slot()((True, 0))] == 2.0
 
 
 @pytest.mark.parametrize("metric", ["aoi", "aoii"])
@@ -344,4 +346,4 @@ def test_greedy_policy_reads_learned_table():
     policy = GreedyPolicy(report.table)
     # with a fresh sender packet and an old receiver picture, sending is the
     # only sane learned choice
-    assert policy.decide(AoIState(0, 20)) == SEND
+    assert policy.decide((0, 20)) == SEND

@@ -12,7 +12,7 @@ from agelab import (
     SystemParams,
     step_cost,
 )
-from agelab.env import SEND, WAIT, AoIIState
+from agelab.env import SEND, WAIT
 
 
 def test_default_parameters():
@@ -115,15 +115,15 @@ def test_risky_predicates_use_inclusive_level():
     env = AoiEnv(SystemParams(p=1.0, lam=1.0), zeta=5, seed=0)
     for age in range(2, 8):
         out = env.step(WAIT)
-        assert out.next_state.aoi_rx == age
+        assert out.next_state[1] == age
         assert out.risky == (age >= 5)
     # a source that always leaves a synced value and almost never returns
     source = SourceSpec(num_states=10**6, p_r=0.0)
     env = AoiiEnv(SystemParams(p=1.0), source, zeta_aoii=3, seed=0)
     for age in range(1, 6):
         out = env.step(WAIT)
-        assert out.next_state == AoIIState(False, age)
+        assert out.next_state == (False, age)
         assert out.risky == (age >= 3)
     out = env.step(SEND)
-    assert out.next_state == AoIIState(True, 0)
+    assert out.next_state == (True, 0)
     assert not out.risky

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from agelab.env import SEND, WAIT, AoIIState, AoIState
+from agelab.env import SEND, WAIT
 from agelab.learning import QTable
 from agelab.strategy import (
     AoiiThresholdPolicy,
@@ -15,19 +15,19 @@ from agelab.strategy import (
 
 def test_threshold_policy_boundary():
     policy = ThresholdPolicy(3)
-    assert policy.decide(AoIState(0, 3)) == SEND
-    assert policy.decide(AoIState(0, 2)) == WAIT
-    assert policy.decide(AoIState(2, 5)) == SEND
-    assert policy.decide(AoIState(3, 5)) == WAIT
-    assert policy.decide(AoIState(4, 4)) == WAIT
+    assert policy.decide((0, 3)) == SEND
+    assert policy.decide((0, 2)) == WAIT
+    assert policy.decide((2, 5)) == SEND
+    assert policy.decide((3, 5)) == WAIT
+    assert policy.decide((4, 4)) == WAIT
     assert policy.name == "threshold(3)"
 
 
 def test_threshold_policy_sends_on_gain_not_raw_age():
     """A huge receiver age alone is not enough when the packet is equally old."""
     policy = ThresholdPolicy(1)
-    assert policy.decide(AoIState(50, 50)) == WAIT
-    assert policy.decide(AoIState(49, 50)) == SEND
+    assert policy.decide((50, 50)) == WAIT
+    assert policy.decide((49, 50)) == SEND
 
 
 def test_threshold_policy_rejects_nonpositive():
@@ -37,11 +37,11 @@ def test_threshold_policy_rejects_nonpositive():
 
 def test_aoii_threshold_boundary():
     policy = AoiiThresholdPolicy(2)
-    assert policy.decide(AoIIState(False, 2)) == SEND
-    assert policy.decide(AoIIState(False, 1)) == WAIT
-    assert policy.decide(AoIIState(True, 0)) == WAIT
+    assert policy.decide((False, 2)) == SEND
+    assert policy.decide((False, 1)) == WAIT
+    assert policy.decide((True, 0)) == WAIT
     zero = AoiiThresholdPolicy(0)
-    assert zero.decide(AoIIState(True, 0)) == SEND
+    assert zero.decide((True, 0)) == SEND
     with pytest.raises(ValueError):
         AoiiThresholdPolicy(-1)
 
@@ -49,7 +49,7 @@ def test_aoii_threshold_boundary():
 def test_random_policy_uses_caller_stream():
     rng = np.random.default_rng(8)
     policy = RandomPolicy(0.5, rng)
-    actions = [policy.decide(AoIState(0, 1)) for _ in range(2000)]
+    actions = [policy.decide((0, 1)) for _ in range(2000)]
     twin = np.random.default_rng(8)
     expected = [SEND if twin.random() < 0.5 else WAIT for _ in range(2000)]
     assert actions == expected
@@ -58,8 +58,8 @@ def test_random_policy_uses_caller_stream():
 
 def test_random_policy_extremes():
     rng = np.random.default_rng(0)
-    assert all(RandomPolicy(1.0, rng).decide(AoIState(0, 1)) == SEND for _ in range(20))
-    assert all(RandomPolicy(0.0, rng).decide(AoIState(0, 1)) == WAIT for _ in range(20))
+    assert all(RandomPolicy(1.0, rng).decide((0, 1)) == SEND for _ in range(20))
+    assert all(RandomPolicy(0.0, rng).decide((0, 1)) == WAIT for _ in range(20))
     with pytest.raises(ValueError):
         RandomPolicy(1.5, rng)
 
@@ -67,7 +67,7 @@ def test_random_policy_extremes():
 def test_greedy_policy_prefers_lower_cost_and_ties_wait():
     table = QTable("aoi", 8, np.zeros((9, 9, 2)))
     policy = GreedyPolicy(table)
-    state = AoIState(1, 4)
+    state = (1, 4)
     table.values[1, 4, WAIT] = 2.0
     table.values[1, 4, SEND] = 1.0
     assert policy.decide(state) == SEND
@@ -83,7 +83,7 @@ def test_greedy_policy_clamps_unseen_states():
     table.values[4, 4, WAIT] = 5.0
     table.values[4, 4, SEND] = 1.0
     policy = GreedyPolicy(table)
-    assert policy.decide(AoIState(9, 30)) == SEND
+    assert policy.decide((9, 30)) == SEND
     assert policy.name == "greedy(aoi)"
 
 
@@ -91,5 +91,5 @@ def test_greedy_policy_reads_aoii_tables():
     table = QTable("aoii", 6, np.zeros((7, 2)))
     table.values[3, SEND] = -1.0
     policy = GreedyPolicy(table)
-    assert policy.decide(AoIIState(False, 3)) == SEND
-    assert policy.decide(AoIIState(False, 2)) == WAIT
+    assert policy.decide((False, 3)) == SEND
+    assert policy.decide((False, 2)) == WAIT
