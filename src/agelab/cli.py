@@ -27,6 +27,7 @@ from .analytic import (
     risky_frequency,
     threshold_cost_qaoi,
 )
+from .env import _child, _seed_sequence
 from .experiments import (
     EnvSpec,
     ExperimentConfig,
@@ -298,15 +299,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    import numpy as np
-
     config = resolve_config(args)
     metric = config.env.metric
-    env_seed, explore_seed = np.random.SeedSequence(config.base_seed).spawn(2)
-    report = train(config.env.build(env_seed), config.learning, explore_seed)
+    root = _seed_sequence(config.base_seed)
+    report = train(config.env.build(_child(root, 0)), config.learning, _child(root, 1))
     out = args.out or f"qtable_{metric}.csv"
     report.table.dump_csv(out)
-    print(f"trained {metric} for {report.steps} steps (rho={config.learning.rho:g})")
+    print(f"trained {metric} for {config.learning.steps} steps (rho={config.learning.rho:g})")
     print(f"final epsilon      {report.final_epsilon!r}")
     print(f"risky transitions  {report.risky_transitions}")
     print(f"table entries      {report.table.values.size}")

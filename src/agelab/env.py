@@ -10,11 +10,12 @@ A state is a plain tuple: ``(tx, rx)``, the sender and receiver ages, for
 aoi and qaoi, and ``(synced, age)``, the mismatch flag and mismatch age,
 for aoii.
 
-That independence is what ``threshold_rollouts`` uses: it draws one seed's
-events once, a block at a time, and steps every threshold policy of a sweep
-over them.  Each of its lanes equals ``run_policy`` of that threshold policy
-on a fresh environment of the same seed, bit for bit, because it sees the
-same events and adds up the same costs in the same order.
+That independence is what ``threshold_rollouts`` uses: it reads an
+``EnvSpec`` and a seed, draws that seed's events once, a block at a time,
+and steps every threshold policy of a sweep over them without building an
+environment.  Each of its lanes equals ``run_policy`` of that threshold
+policy on ``spec.build(seed)``, bit for bit, because it sees the same events
+and adds up the same costs in the same order.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, Final, Iterator, NamedTuple, Protocol, Sequence
 
-from .params import QuerySpec, SourceSpec, SystemParams, step_cost
+from .params import QuerySpec, RiskSpec, SourceSpec, SystemParams, step_cost
 
 if TYPE_CHECKING:
     import numpy as np
@@ -31,6 +32,7 @@ if TYPE_CHECKING:
 __all__ = [
     "WAIT",
     "SEND",
+    "EnvSpec",
     "StepOutcome",
     "TrajectoryStats",
     "uniform_stream",
@@ -106,13 +108,13 @@ _new = tuple.__new__
 BLOCK: Final[int] = 8192
 
 
-def uniform_stream(rng: np.random.Generator, block: int = BLOCK) -> Iterator[float]:
+def uniform_stream(rng: np.random.Generator) -> Iterator[float]:
     """Endless uniform [0, 1) draws, ``next()`` at a time.
 
     The values are exactly those of repeated ``rng.random()`` calls; they are
     drawn a block at a time, which makes one draw about ten times cheaper.
     """
-    return chain.from_iterable(iter(lambda: rng.random(block).tolist(), None))
+    return chain.from_iterable(iter(lambda: rng.random(BLOCK).tolist(), None))
 
 
 def _flags(rng: np.random.Generator, prob: float) -> Iterator[bool]:
@@ -131,20 +133,20 @@ def _seed_sequence(seed: int | np.random.SeedSequence, name: str = "seed") -> np
     return np.random.SeedSequence(seed)
 
 
+def _child(seed: np.random.SeedSequence, i: int) -> np.random.SeedSequence:
+    """The i-th child that ``seed.spawn()`` gives; unlike spawn(), deriving it
+    twice gives the same child, and no other child is built."""
+    import numpy as np
+
+    return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (i,))
+
+
 def _substreams(seed: int | np.random.SeedSequence) -> list[np.random.Generator]:
     """The arrival, channel, query and source generators derived from one seed."""
     import numpy as np
 
     seed = _seed_sequence(seed)
-    # Children are built by explicit spawn key rather than spawn(), so
-    # deriving them twice from one SeedSequence replays the same substreams
-    # (spawn() would advance the parent's child counter).
-    return [
-        np.random.default_rng(
-            np.random.SeedSequence(entropy=seed.entropy, spawn_key=seed.spawn_key + (i,))
-        )
-        for i in range(4)
-    ]
+    return [np.random.default_rng(_child(seed, i)) for i in range(4)]
 
 
 class AoiEnv:
@@ -168,7 +170,6 @@ class AoiEnv:
         self.zeta = zeta
         self.query = query
         self.metric = "aoi" if query is None else "qaoi"
-        self.seed = seed
         arrival, channel, asked, _ = _substreams(seed)
         self._arrivals = _flags(arrival, params.lam)
         self._delivered = _flags(channel, params.p)
@@ -212,7 +213,6 @@ class AoiiEnv:
         # the value (p_r) when synced, returning to the receiver's (p_c) when not
         self._event_prob = (source.p_c, source.p_r)
         self.zeta_aoii = zeta_aoii
-        self.seed = seed
         _, channel, _, source_rng = _substreams(seed)
         self._delivered = _flags(channel, params.p)
         # the source event's probability depends on the state, so its draws
@@ -230,6 +230,40 @@ class AoiiEnv:
         self.state = nxt
         cost = step_cost(age, sent, self.params)
         return _new(StepOutcome, (nxt, cost, age >= self.zeta_aoii, sent, sent and channel_ok))
+
+
+METRICS = ("aoi", "qaoi", "aoii")
+
+
+@dataclass(frozen=True)
+class EnvSpec:
+    """Everything needed to build identical environments from fresh seeds.
+
+    ``query`` only shapes qaoi environments and ``source`` only aoii ones,
+    so a spec can be switched to another metric with ``replace`` and keep
+    every setting that metric reads.
+    """
+
+    metric: str = "aoi"
+    params: SystemParams = SystemParams()
+    risk: RiskSpec = RiskSpec()
+    query: QuerySpec = QuerySpec()
+    source: SourceSpec = SourceSpec()
+
+    def __post_init__(self) -> None:
+        if self.metric not in METRICS:
+            raise ValueError(f"unknown metric {self.metric!r}")
+
+    @property
+    def q(self) -> float:
+        """The query probability that gates the metric; 1 (ungated) unless it is qaoi."""
+        return self.query.q if self.metric == "qaoi" else 1.0
+
+    def build(self, seed: int | np.random.SeedSequence) -> AoiEnv | AoiiEnv:
+        if self.metric == "aoii":
+            return AoiiEnv(self.params, self.source, self.risk.zeta_aoii, seed=seed)
+        query = self.query if self.metric == "qaoi" else None
+        return AoiEnv(self.params, self.risk.zeta, query=query, seed=seed)
 
 
 @dataclass
@@ -300,14 +334,13 @@ def _mismatch_lane(theta, age, cost_sum, risky, sends, oks, keeps, returns, alph
 
 
 def threshold_rollouts(
-    env: AoiEnv | AoiiEnv, thresholds: Sequence[int], horizon: int
+    spec: EnvSpec, seed: int | np.random.SeedSequence, thresholds: Sequence[int], horizon: int
 ) -> list[TrajectoryStats]:
-    """Roll out one threshold policy per entry of ``thresholds`` on the events of env's seed.
+    """Roll out one threshold policy per entry of ``thresholds`` on the events of ``seed``.
 
     Entry i equals ``run_policy`` of ``ThresholdPolicy(thresholds[i])`` (of
-    ``AoiiThresholdPolicy`` for aoii) on a freshly built env with the same
-    settings and seed, bit for bit.  env is read for its settings and seed
-    only; it is not stepped.  The events are drawn one block of ``BLOCK`` per
+    ``AoiiThresholdPolicy`` for aoii) on ``spec.build(seed)``, bit for bit,
+    but no env is built.  The events are drawn one block of ``BLOCK`` per
     substream at a time and turned into booleans once, and every policy then
     steps through them with its own state, cost sum and counts carried across
     blocks, so memory does not grow with the horizon.
@@ -316,23 +349,23 @@ def threshold_rollouts(
 
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    params = env.params
+    params = spec.params
     alpha, bn = params.alpha, params.beta * params.nu
-    arrival_rng, channel_rng, query_rng, source_rng = _substreams(env.seed)
-    if env.metric == "aoii":
-        zeta = env.zeta_aoii
+    arrival_rng, channel_rng, query_rng, source_rng = _substreams(seed)
+    if spec.metric == "aoii":
+        zeta = spec.risk.zeta_aoii
         lanes = [[theta, INITIAL_AOII[1], 0.0, 0, 0] for theta in thresholds]
     else:
-        zeta = env.zeta
+        zeta = spec.risk.zeta
         lanes = [[n, INITIAL_AOI[1], 0.0, 0, 0] for n in thresholds]
     tx = INITIAL_AOI[0]
     for start in range(0, horizon, BLOCK):
         size = min(BLOCK, horizon - start)
         oks = (channel_rng.random(size) < params.p).tolist()
-        if env.metric == "aoii":
+        if spec.metric == "aoii":
             source = source_rng.random(size)
-            keeps = (source < env.source.p_r).tolist()
-            returns = (source < env.source.p_c).tolist()
+            keeps = (source < spec.source.p_r).tolist()
+            returns = (source < spec.source.p_c).tolist()
             for lane in lanes:
                 lane[1:] = _mismatch_lane(*lane, oks, keeps, returns, alpha, bn, zeta)
         else:
@@ -344,10 +377,10 @@ def threshold_rollouts(
             after = steps - np.maximum.accumulate(np.where(arrivals, steps, -tx))
             txs = [tx, *after[:-1].tolist()]
             tx = int(after[-1])
-            if env.query is None:
+            if spec.metric == "aoi":
                 asks = repeat(True)
             else:
-                asks = (query_rng.random(size) < env.query.q).tolist()
+                asks = (query_rng.random(size) < spec.query.q).tolist()
             for lane in lanes:
                 lane[1:] = _age_lane(*lane, txs, oks, asks, alpha, bn, zeta)
     return [

@@ -1,36 +1,37 @@
 """Seeded multi-run experiments: sweeps, learner comparisons and result files.
 
-Every experiment derives its per-run seeds from one base seed, and the
-evaluation seeds are shared across strategies within a comparison, so
-reported differences between strategies are paired rather than noise from
-different event sequences.  ``_evaluation_seeds`` is the one place those
-seeds come from, for both rollout paths: ``evaluate`` runs one policy per
-seed through ``run_policy``, and ``threshold_sweep`` runs every threshold
-of a sweep on each seed's events at once through ``threshold_rollouts``,
-which gives the same numbers bit for bit.  An experiment returns only what
-it measured and the choices it made (a baseline threshold); closed-form
-overlays and row labels are left to the caller.
+Every seed comes from one tree over the base seed, and ``_run_seeds``
+derives run i's seed in a namespace when that run starts.  The evaluation
+seeds are shared across strategies, so reported differences between
+strategies are paired rather than noise from different event sequences.
+``evaluate`` runs one policy per seed through ``run_policy``, and
+``threshold_sweep`` runs every threshold of a sweep on each seed's events at
+once through ``threshold_rollouts``, which gives the same numbers bit for
+bit; both reduce each finished run to the three floats ``RunStats`` keeps.
+An experiment returns only what it measured and the choices it made (a
+baseline threshold); closed-form overlays and row labels are left to the caller.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import astuple, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 from .analytic import optimal_threshold
 from .env import (
-    AoiEnv,
-    AoiiEnv,
+    EnvSpec,
     Policy,
     TrajectoryStats,
+    _child,
     _seed_sequence,
     run_policy,
     threshold_rollouts,
 )
 from .learning import LearningParams, train
-from .params import QuerySpec, RiskSpec, SourceSpec, SystemParams
+from .params import QuerySpec
 from .strategy import AoiiThresholdPolicy, GreedyPolicy, RandomPolicy, ThresholdPolicy
 
 if TYPE_CHECKING:
@@ -54,40 +55,6 @@ __all__ = [
     "emit_plot_data",
     "format_summary",
 ]
-
-METRICS = ("aoi", "qaoi", "aoii")
-
-
-@dataclass(frozen=True)
-class EnvSpec:
-    """Everything needed to build identical environments from fresh seeds.
-
-    ``query`` only shapes qaoi environments and ``source`` only aoii ones,
-    so a spec can be switched to another metric with ``replace`` and keep
-    every setting that metric reads.
-    """
-
-    metric: str = "aoi"
-    params: SystemParams = SystemParams()
-    risk: RiskSpec = RiskSpec()
-    query: QuerySpec = QuerySpec()
-    source: SourceSpec = SourceSpec()
-
-    def __post_init__(self) -> None:
-        if self.metric not in METRICS:
-            raise ValueError(f"unknown metric {self.metric!r}")
-
-    @property
-    def q(self) -> float:
-        """The query probability that gates the metric; 1 (ungated) unless it is qaoi."""
-        return self.query.q if self.metric == "qaoi" else 1.0
-
-    def build(self, seed: int | np.random.SeedSequence) -> AoiEnv | AoiiEnv:
-        if self.metric == "aoii":
-            return AoiiEnv(self.params, self.source, self.risk.zeta_aoii, seed=seed)
-        query = self.query if self.metric == "qaoi" else None
-        return AoiEnv(self.params, self.risk.zeta, query=query, seed=seed)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -147,26 +114,31 @@ class RunStats:
             send_rates=tuple(send_rates),
         )
 
-    @classmethod
-    def from_trajectories(cls, runs: Sequence[TrajectoryStats]) -> RunStats:
-        """Aggregates of one policy's per-run trajectories, in run order."""
-        return cls.from_runs(
-            [run.avg_cost for run in runs],
-            [run.risky_freq for run in runs],
-            [run.send_count / run.steps for run in runs],
-        )
+
+EVALUATION, POLICY, TRAINING, EXPLORATION = range(4)
 
 
-def _namespaces(base_seed: int) -> tuple[np.random.SeedSequence, ...]:
-    # order: evaluation envs, policy rngs, training envs, exploration
-    return tuple(_seed_sequence(base_seed, "base_seed").spawn(4))
+def _run_seeds(base_seed: int, namespace: int) -> Callable[[int], np.random.SeedSequence]:
+    """i -> SeedSequence(base_seed).spawn(4)[namespace].spawn(runs)[i], each derived on its own."""
+    return partial(_child, _child(_seed_sequence(base_seed, "base_seed"), namespace))
 
 
-def _evaluation_seeds(base_seed: int, runs: int) -> list[np.random.SeedSequence]:
-    """The environment seed of each run; every rollout from base_seed uses these."""
+def _fold_runs(
+    rollout: Callable[..., Sequence[TrajectoryStats]], lanes: int, runs: int, base_seed: int
+) -> list[RunStats]:
+    """Per-lane aggregates of ``rollout(seed, i)``, one trajectory per lane, on
+    each run i's evaluation seed; a run is reduced to three floats per lane
+    as soon as it finishes."""
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
-    return _namespaces(base_seed)[0].spawn(runs)
+    evaluation_seed = _run_seeds(base_seed, EVALUATION)
+    columns = [([], [], []) for _ in range(lanes)]
+    for i in range(runs):
+        for (costs, risky, send_rates), lane in zip(columns, rollout(evaluation_seed(i), i)):
+            costs.append(lane.avg_cost)
+            risky.append(lane.risky_freq)
+            send_rates.append(lane.send_count / lane.steps)
+    return [RunStats.from_runs(*column) for column in columns]
 
 
 PolicyLike = Policy | Callable[[int], Policy]
@@ -184,14 +156,15 @@ def evaluate(
     ``policy`` is either a fixed policy reused across runs or a callable
     that builds the policy for run index i (a random sender on its own
     stream, a learner trained for that run).  The environment seeds come
-    from ``_evaluation_seeds`` and depend only on base_seed and the run
+    from the EVALUATION namespace and depend only on base_seed and the run
     index, so every strategy evaluated with the same base seed, and every
     point of a ``threshold_sweep`` with it, faces identical events.
     """
-    return RunStats.from_trajectories([
-        run_policy(env_spec.build(env_seed), policy(i) if callable(policy) else policy, test_steps)
-        for i, env_seed in enumerate(_evaluation_seeds(base_seed, runs))
-    ])
+
+    def rollout(seed: np.random.SeedSequence, i: int) -> list[TrajectoryStats]:
+        return [run_policy(env_spec.build(seed), policy(i) if callable(policy) else policy, test_steps)]
+
+    return _fold_runs(rollout, 1, runs, base_seed)[0]
 
 
 @dataclass(frozen=True)
@@ -228,14 +201,12 @@ def threshold_sweep(metric: str, thresholds: list[int], config: ExperimentConfig
     for value in values:
         _threshold_policy(metric, value)  # rejects an invalid threshold before any draw
     spec = replace(config.env, metric=metric)
-    runs = [
-        threshold_rollouts(spec.build(env_seed), values, config.test_steps)
-        for env_seed in _evaluation_seeds(config.base_seed, config.runs)
-    ]
-    points = [
-        SweepPoint(value, RunStats.from_trajectories([run[i] for run in runs]))
-        for i, value in enumerate(values)
-    ]
+
+    def rollout(seed: np.random.SeedSequence, i: int) -> list[TrajectoryStats]:
+        return threshold_rollouts(spec, seed, values, config.test_steps)
+
+    stats = _fold_runs(rollout, len(values), config.runs, config.base_seed)
+    points = [SweepPoint(value, point) for value, point in zip(values, stats)]
     return SweepResult(
         variable="theta" if metric == "aoii" else "n",
         points=tuple(points),
@@ -275,10 +246,9 @@ def learning_comparison(
     import numpy as np
 
     spec = replace(config.env, metric=metric)
-    _, pol_ns, train_ns, explore_ns = _namespaces(config.base_seed)
-    pol_seeds = pol_ns.spawn(config.runs)
-    train_seeds = train_ns.spawn(config.runs)
-    explore_seeds = explore_ns.spawn(config.runs)
+    policy_seed = _run_seeds(config.base_seed, POLICY)
+    train_seed = _run_seeds(config.base_seed, TRAINING)
+    explore_seed = _run_seeds(config.base_seed, EXPLORATION)
 
     # The baseline threshold is the configured one, else the closed-form
     # optimum.  The aoii metric has no closed form: its baseline is the
@@ -299,7 +269,7 @@ def learning_comparison(
 
     def learner(params: LearningParams) -> Callable[[int], Policy]:
         def trained(i: int) -> Policy:
-            report = train(spec.build(train_seeds[i]), params, explore_seeds[i])
+            report = train(spec.build(train_seed(i)), params, explore_seed(i))
             return GreedyPolicy(report.table)
 
         return trained
@@ -307,7 +277,7 @@ def learning_comparison(
     # Each strategy's values depend only on its own seeds, so the strategies
     # can be evaluated one after another.
     strategies: dict[str, PolicyLike] = {
-        "random": lambda i: RandomPolicy(spec.params.lam, np.random.default_rng(pol_seeds[i])),
+        "random": lambda i: RandomPolicy(spec.params.lam, np.random.default_rng(policy_seed(i))),
         "threshold": _threshold_policy(metric, threshold),
         "qlearn": learner(lp_plain),
         "qlearn_risk": learner(lp_risk),

@@ -157,7 +157,6 @@ class TrainReport:
     final_epsilon: float
     epsilon_trace: list[tuple[int, float]] = field(repr=False)
     risky_transitions: int = 0
-    steps: int = 0
 
 
 def train(
@@ -228,5 +227,4 @@ def train(
         final_epsilon=eps,
         epsilon_trace=trace,
         risky_transitions=risky_seen,
-        steps=params.steps,
     )

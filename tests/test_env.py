@@ -25,6 +25,7 @@ from agelab.env import (
     INITIAL_AOII,
     SEND,
     WAIT,
+    _child,
     aoi_transition,
     aoii_transition,
     threshold_rollouts,
@@ -53,6 +54,17 @@ def merge(*pairs):
     for state, prob in pairs:
         dist[state] = dist.get(state, 0.0) + prob
     return dist
+
+
+def test_child_is_the_spawned_child():
+    """_child(seed, i) is the i-th child that seed.spawn() gives, at any depth
+    of the tree, and deriving it leaves seed's child counter alone."""
+    for seed in (np.random.SeedSequence(4), np.random.SeedSequence(4).spawn(3)[2]):
+        derived = [_child(seed, i) for i in range(5)]
+        assert seed.n_children_spawned == 0
+        for child, spawned in zip(derived, seed.spawn(5), strict=True):
+            assert (child.entropy, child.spawn_key) == (spawned.entropy, spawned.spawn_key)
+            assert child.generate_state(4).tolist() == spawned.generate_state(4).tolist()
 
 
 @pytest.mark.parametrize("tx,rx", [(0, 1), (2, 5), (3, 3), (0, 7)])
@@ -180,12 +192,11 @@ def test_reset_replays_identically():
     )
 
 
-@pytest.mark.parametrize("block", [7, 8192])
-def test_buffered_stream_replays_single_draws(block):
+def test_buffered_stream_replays_single_draws():
     """Block-wise draws give exactly the values of one rng.random() call each,
     across several block boundaries."""
-    count = 3 * block + 5
-    stream = uniform_stream(np.random.default_rng(31), block)
+    count = 3 * BLOCK + 5
+    stream = uniform_stream(np.random.default_rng(31))
     single = np.random.default_rng(31)
     assert [next(stream) for _ in range(count)] == [single.random() for _ in range(count)]
 
@@ -315,7 +326,7 @@ def env_specs(draw):
 def test_threshold_rollouts_equal_run_policy(spec, horizon, thresholds, seed):
     if spec.metric == "aoii":
         thresholds = [n - 1 for n in thresholds]  # theta = 0 always sends
-    lanes = threshold_rollouts(spec.build(seed), thresholds, horizon)
+    lanes = threshold_rollouts(spec, seed, thresholds, horizon)
     for value, lane in zip(thresholds, lanes, strict=True):
         policy = AoiiThresholdPolicy(value) if spec.metric == "aoii" else ThresholdPolicy(value)
         assert lane == run_policy(spec.build(seed), policy, horizon)
@@ -359,10 +370,10 @@ def test_threshold_rollouts_hold_one_block_of_draws(monkeypatch, metric, substre
         env_module, "_substreams", lambda seed: [Recording(rng) for rng in derive(seed)]
     )
     horizon = 3 * BLOCK + 5
-    threshold_rollouts(EnvSpec(metric).build(8), [1, 2, 3], horizon)
+    threshold_rollouts(EnvSpec(metric), 8, [1, 2, 3], horizon)
     assert sorted(requested) == sorted(substreams * [BLOCK, BLOCK, BLOCK, 5])
 
 
 def test_threshold_rollouts_reject_empty_horizon():
     with pytest.raises(ValueError, match="horizon must be at least 1, got 0"):
-        threshold_rollouts(AoiEnv(SystemParams(), seed=0), [1], 0)
+        threshold_rollouts(EnvSpec(), 0, [1], 0)

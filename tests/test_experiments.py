@@ -27,7 +27,6 @@ from agelab.cli import main
 from agelab.experiments import (
     CSV_COLUMNS,
     RunStats,
-    _namespaces,
     comparison_rows,
     emit_plot_data,
     emit_results,
@@ -131,7 +130,9 @@ def test_evaluate_policy_factory_gets_per_run_seeds():
     # a comparison's learners are such factories: one greedy policy per run,
     # trained on that run's training and exploration seeds
     comparison = learning_comparison("aoi", 3000, FAST)
-    _, _, train_ns, explore_ns = _namespaces(FAST.base_seed)
+    # run i's training and exploration seeds: children i of the base seed's
+    # third and fourth children
+    _, _, train_ns, explore_ns = np.random.SeedSequence(FAST.base_seed).spawn(4)
     train_seeds, explore_seeds = train_ns.spawn(FAST.runs), explore_ns.spawn(FAST.runs)
     plain = replace(FAST.learning, steps=3000, rho=1.0)
 
@@ -182,6 +183,50 @@ def test_threshold_sweep_validates_thresholds_before_any_draw(monkeypatch, metri
     monkeypatch.setattr(env_module, "_substreams", no_draws)
     with pytest.raises(ValueError, match=message):
         threshold_sweep(metric, values, FAST)
+
+
+@pytest.mark.parametrize("metric", ["aoi", "qaoi", "aoii"])
+def test_threshold_sweep_derives_each_run_substreams_once(monkeypatch, metric):
+    """A sweep run draws its events from one set of substreams; no
+    environment is built beside it."""
+    derived = []
+    derive = env_module._substreams
+
+    def counted(seed):
+        derived.append(seed)
+        return derive(seed)
+
+    monkeypatch.setattr(env_module, "_substreams", counted)
+    threshold_sweep(metric, [1, 2], FAST)
+    assert len(derived) == FAST.runs
+
+
+@pytest.mark.parametrize("experiment", ["evaluate", "threshold_sweep"])
+def test_memory_grows_by_three_floats_per_run(experiment):
+    """Each finished run is reduced to the three floats RunStats keeps (a
+    float in a list and its tuple entry take 40 B), so the traced peak of a
+    one-strategy experiment grows by at most 160 B per run."""
+    import tracemalloc
+
+    spec = EnvSpec("aoi")
+
+    def run(runs):
+        if experiment == "evaluate":
+            evaluate(ThresholdPolicy(2), spec, test_steps=1, runs=runs)
+        else:
+            threshold_sweep("aoi", [2], ExperimentConfig(env=spec, test_steps=1, runs=runs))
+
+    def traced_peak(runs):
+        tracemalloc.start()
+        try:
+            run(runs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run(2)  # warm-up: lazy imports and caches
+    small, large = traced_peak(1000), traced_peak(3000)
+    assert (large - small) / 2000 <= 160
 
 
 @pytest.mark.parametrize("metric, values", [("aoi", [1, 3]), ("qaoi", [2, 4]), ("aoii", [0, 2])])
