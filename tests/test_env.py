@@ -192,10 +192,12 @@ def test_reset_replays_identically():
     )
 
 
-def test_buffered_stream_replays_single_draws():
+@pytest.mark.parametrize("block", [7, BLOCK])
+def test_buffered_stream_replays_single_draws(block, monkeypatch):
     """Block-wise draws give exactly the values of one rng.random() call each,
-    across several block boundaries."""
-    count = 3 * BLOCK + 5
+    across several block boundaries, at a small block and at BLOCK."""
+    monkeypatch.setattr(env_module, "BLOCK", block)
+    count = 3 * block + 5
     stream = uniform_stream(np.random.default_rng(31))
     single = np.random.default_rng(31)
     assert [next(stream) for _ in range(count)] == [single.random() for _ in range(count)]
