@@ -47,7 +47,6 @@ from .params import QuerySpec, RiskSpec, SourceSpec, SystemParams
 __all__ = [
     "UsageError",
     "parse_config_text",
-    "format_config_text",
     "main",
 ]
 
@@ -109,18 +108,6 @@ def parse_config_text(text: str) -> dict:
                 f"config line {lineno}: key {key!r} needs a {caster.__name__}, got {value!r}"
             ) from None
     return cfg
-
-
-def format_config_text(cfg: dict) -> str:
-    """Render a config mapping so that parsing it back is the identity."""
-    lines = []
-    for key in sorted(cfg):
-        if key not in CONFIG_SCHEMA:
-            raise UsageError(f"unknown configuration key {key!r}")
-        value = cfg[key]
-        rendered = repr(value) if isinstance(value, float) else str(value)
-        lines.append(f"{key} = {rendered}")
-    return "\n".join(lines) + "\n"
 
 
 def _given_keys(args: argparse.Namespace) -> dict:
@@ -282,14 +269,13 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    metric = config.env.metric
     threshold = config.threshold
     if threshold is None:
-        if metric == "aoii":
+        if config.env.metric == "aoii":
             raise UsageError("simulate needs --threshold for the aoii metric")
         threshold = optimal_threshold(config.env.params, q=config.env.q)
-    sweep = threshold_sweep(metric, [threshold], config)
-    rows = sweep_rows("simulate", metric, sweep, config)
+    sweep = threshold_sweep([threshold], config)
+    rows = sweep_rows("simulate", sweep, config)
     print(format_summary(rows))
     print(f"mean send rate {sweep.points[0].stats.mean_send_rate:.4f}")
     if args.out:
@@ -315,6 +301,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 # A preset runs with the resolved config, the learn_steps key if one was
 # given (None otherwise) and the output directory, and returns its rows.
+# Its own metric replaces the config's, whatever --metric says.
 
 
 def _sweep_figure(figure: str, metric: str, values: list[int]):
@@ -322,8 +309,9 @@ def _sweep_figure(figure: str, metric: str, values: list[int]):
     of the age metrics (the risky one only below zeta)."""
 
     def run(config: ExperimentConfig, learn_steps: int | None, out_dir: Path) -> list[ResultRow]:
-        sweep = threshold_sweep(metric, values, config)
-        rows = sweep_rows(figure, metric, sweep, config)
+        config = replace(config, env=replace(config.env, metric=metric))
+        sweep = threshold_sweep(values, config)
+        rows = sweep_rows(figure, sweep, config)
         emit_results(rows, out_dir / f"{figure}.csv")
         emit_plot_data(
             out_dir / f"{figure}_cost.dat",
@@ -335,8 +323,7 @@ def _sweep_figure(figure: str, metric: str, values: list[int]):
         )
         if metric == "aoii":
             return rows
-        spec = replace(config.env, metric=metric)
-        params, zeta, q = spec.params, spec.risk.zeta, spec.q
+        params, zeta, q = config.env.params, config.env.risk.zeta, config.env.q
         emit_plot_data(
             out_dir / f"{figure}_cost_analytic.dat",
             [(n, cost_breakdown(n, params, q=q).total, 0.0) for n in values],
@@ -354,10 +341,12 @@ def _comparison_figure(figure: str, metric: str, steps_list: list[int]):
     only at learn_steps when that key is given."""
 
     def run(config: ExperimentConfig, learn_steps: int | None, out_dir: Path) -> list[ResultRow]:
+        config = replace(config, env=replace(config.env, metric=metric))
         rows: list[ResultRow] = []
         for steps in steps_list if learn_steps is None else [learn_steps]:
-            comparison = learning_comparison(metric, steps, config)
-            block = comparison_rows(figure, metric, steps, comparison, config)
+            at_steps = replace(config, learning=replace(config.learning, steps=steps))
+            comparison = learning_comparison(at_steps)
+            block = comparison_rows(figure, comparison, at_steps)
             rows.extend(block)
             triples = [
                 (i, row.mean_risky_freq, row.std_risky_freq) for i, row in enumerate(block)
@@ -374,13 +363,13 @@ def _query_sweep_figure(figure: str, q_values: list[float]):
     cost of the optimal threshold at that q, whatever the baseline used."""
 
     def run(config: ExperimentConfig, learn_steps: int | None, out_dir: Path) -> list[ResultRow]:
+        config = replace(config, env=replace(config.env, metric="qaoi"))
         by_q = query_prob_sweep(q_values, config)
-        steps = config.learning.steps
         # one block per query probability, labelled by q
         rows = [
             replace(row, param=f"q={q:g}")
             for q, comparison in by_q.items()
-            for row in comparison_rows(figure, "qaoi", steps, comparison, config)
+            for row in comparison_rows(figure, comparison, config)
         ]
         emit_results(rows, out_dir / f"{figure}.csv")
         for name in sorted(next(iter(by_q.values()))):

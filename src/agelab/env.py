@@ -6,6 +6,11 @@ independent substreams (arrivals, channel, queries, source moves), so two
 environments built from the same seed produce identical event sequences and
 changing the policy never perturbs the events themselves.
 
+An environment reads every setting (metric, channel, safety level, query
+or source process) from the ``EnvSpec`` it is built from and keeps no
+default of its own; ``spec.build(seed)`` picks ``AoiEnv`` or ``AoiiEnv``
+by the spec's metric, and each refuses a spec of the other kind.
+
 A state is a plain tuple: ``(tx, rx)``, the sender and receiver ages, for
 aoi and qaoi, and ``(synced, age)``, the mismatch flag and mismatch age,
 for aoii.
@@ -122,14 +127,14 @@ def _flags(rng: np.random.Generator, prob: float) -> Iterator[bool]:
     return chain.from_iterable(iter(lambda: (rng.random(BLOCK) < prob).tolist(), None))
 
 
-def _seed_sequence(seed: int | np.random.SeedSequence, name: str = "seed") -> np.random.SeedSequence:
-    """``seed`` as numpy takes it; a negative integer is refused under the argument's name."""
+def _seed_sequence(seed: int | np.random.SeedSequence) -> np.random.SeedSequence:
+    """``seed`` as numpy takes it; a negative integer is refused."""
     import numpy as np
 
     if isinstance(seed, np.random.SeedSequence):
         return seed
     if seed < 0:
-        raise ValueError(f"{name} must be nonnegative, got {seed}")
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     return np.random.SeedSequence(seed)
 
 
@@ -150,26 +155,20 @@ def _substreams(seed: int | np.random.SeedSequence) -> list[np.random.Generator]
 
 
 class AoiEnv:
-    """Simulator for the sender/receiver age chain.
+    """Simulator for the sender/receiver age chain of an aoi or qaoi spec.
 
-    Without a QuerySpec the per-step cost charges the receiver age every
-    step; with one, the age term and the risky flag only count on query
-    steps while energy is charged for every attempt.
+    For aoi the per-step cost charges the receiver age every step; for qaoi
+    the age term and the risky flag only count on query steps, while energy
+    is charged for every attempt.
     """
 
-    def __init__(
-        self,
-        params: SystemParams,
-        zeta: int = 5,
-        query: QuerySpec | None = None,
-        seed: int | np.random.SeedSequence = 0,
-    ) -> None:
-        if zeta < 1:
-            raise ValueError(f"zeta must be at least 1, got {zeta}")
-        self.params = params
-        self.zeta = zeta
-        self.query = query
-        self.metric = "aoi" if query is None else "qaoi"
+    def __init__(self, spec: EnvSpec, seed: int | np.random.SeedSequence = 0) -> None:
+        if spec.metric == "aoii":
+            raise ValueError(f"AoiEnv simulates aoi and qaoi, not {spec.metric}")
+        self.params = params = spec.params
+        self.zeta = spec.risk.zeta
+        self.query = query = spec.query if spec.metric == "qaoi" else None
+        self.metric = spec.metric
         arrival, channel, asked, _ = _substreams(seed)
         self._arrivals = _flags(arrival, params.lam)
         self._delivered = _flags(channel, params.p)
@@ -194,25 +193,19 @@ class AoiEnv:
 
 
 class AoiiEnv:
-    """Simulator for the mismatch-age chain over the same channel."""
+    """Simulator for the mismatch-age chain of an aoii spec over the same channel."""
 
     metric = "aoii"
 
-    def __init__(
-        self,
-        params: SystemParams,
-        source: SourceSpec,
-        zeta_aoii: int = 3,
-        seed: int | np.random.SeedSequence = 0,
-    ) -> None:
-        if zeta_aoii < 1:
-            raise ValueError(f"zeta_aoii must be at least 1, got {zeta_aoii}")
-        self.params = params
-        self.source = source
+    def __init__(self, spec: EnvSpec, seed: int | np.random.SeedSequence = 0) -> None:
+        if spec.metric != "aoii":
+            raise ValueError(f"AoiiEnv simulates aoii, not {spec.metric}")
+        self.params = params = spec.params
+        self.source = source = spec.source
         # probability of a source event, indexed by the synced flag: keeping
         # the value (p_r) when synced, returning to the receiver's (p_c) when not
         self._event_prob = (source.p_c, source.p_r)
-        self.zeta_aoii = zeta_aoii
+        self.zeta_aoii = spec.risk.zeta_aoii
         _, channel, _, source_rng = _substreams(seed)
         self._delivered = _flags(channel, params.p)
         # the source event's probability depends on the state, so its draws
@@ -260,10 +253,7 @@ class EnvSpec:
         return self.query.q if self.metric == "qaoi" else 1.0
 
     def build(self, seed: int | np.random.SeedSequence) -> AoiEnv | AoiiEnv:
-        if self.metric == "aoii":
-            return AoiiEnv(self.params, self.source, self.risk.zeta_aoii, seed=seed)
-        query = self.query if self.metric == "qaoi" else None
-        return AoiEnv(self.params, self.risk.zeta, query=query, seed=seed)
+        return (AoiiEnv if self.metric == "aoii" else AoiEnv)(self, seed)
 
 
 @dataclass

@@ -8,8 +8,13 @@ strategies are paired rather than noise from different event sequences.
 ``threshold_sweep`` runs every threshold of a sweep on each seed's events at
 once through ``threshold_rollouts``, which gives the same numbers bit for
 bit; both reduce each finished run to the three floats ``RunStats`` keeps.
-An experiment returns only what it measured and the choices it made (a
-baseline threshold); closed-form overlays and row labels are left to the caller.
+An experiment reads every setting from its ``ExperimentConfig`` alone: the
+metric and system from ``config.env``, the training length from
+``config.learning.steps`` and the run profile from the config itself; a
+caller that wants another metric or length passes a config changed with
+``replace``.  An experiment returns only what it measured and the choices
+it made (a baseline threshold); closed-form overlays and row labels are
+left to the caller.
 """
 
 from __future__ import annotations
@@ -120,20 +125,18 @@ EVALUATION, POLICY, TRAINING, EXPLORATION = range(4)
 
 def _run_seeds(base_seed: int, namespace: int) -> Callable[[int], np.random.SeedSequence]:
     """i -> SeedSequence(base_seed).spawn(4)[namespace].spawn(runs)[i], each derived on its own."""
-    return partial(_child, _child(_seed_sequence(base_seed, "base_seed"), namespace))
+    return partial(_child, _child(_seed_sequence(base_seed), namespace))
 
 
 def _fold_runs(
-    rollout: Callable[..., Sequence[TrajectoryStats]], lanes: int, runs: int, base_seed: int
+    rollout: Callable[..., Sequence[TrajectoryStats]], lanes: int, config: ExperimentConfig
 ) -> list[RunStats]:
     """Per-lane aggregates of ``rollout(seed, i)``, one trajectory per lane, on
-    each run i's evaluation seed; a run is reduced to three floats per lane
-    as soon as it finishes."""
-    if runs < 1:
-        raise ValueError(f"runs must be at least 1, got {runs}")
-    evaluation_seed = _run_seeds(base_seed, EVALUATION)
+    each of the config's runs i at its evaluation seed; a run is reduced to
+    three floats per lane as soon as it finishes."""
+    evaluation_seed = _run_seeds(config.base_seed, EVALUATION)
     columns = [([], [], []) for _ in range(lanes)]
-    for i in range(runs):
+    for i in range(config.runs):
         for (costs, risky, send_rates), lane in zip(columns, rollout(evaluation_seed(i), i)):
             costs.append(lane.avg_cost)
             risky.append(lane.risky_freq)
@@ -144,27 +147,23 @@ def _fold_runs(
 PolicyLike = Policy | Callable[[int], Policy]
 
 
-def evaluate(
-    policy: PolicyLike,
-    env_spec: EnvSpec,
-    test_steps: int = 10_000,
-    runs: int = 100,
-    base_seed: int = 0,
-) -> RunStats:
-    """Run a policy over independent seeded environments and aggregate.
+def evaluate(policy: PolicyLike, config: ExperimentConfig) -> RunStats:
+    """Run a policy on ``config.runs`` seeded environments of ``config.env``
+    for ``config.test_steps`` steps each, and aggregate.
 
     ``policy`` is either a fixed policy reused across runs or a callable
     that builds the policy for run index i (a random sender on its own
     stream, a learner trained for that run).  The environment seeds come
-    from the EVALUATION namespace and depend only on base_seed and the run
-    index, so every strategy evaluated with the same base seed, and every
-    point of a ``threshold_sweep`` with it, faces identical events.
+    from the EVALUATION namespace and depend only on the config's base seed
+    and the run index, so every strategy evaluated with the same base seed,
+    and every point of a ``threshold_sweep`` with it, faces identical events.
     """
+    spec, horizon = config.env, config.test_steps
 
     def rollout(seed: np.random.SeedSequence, i: int) -> list[TrajectoryStats]:
-        return [run_policy(env_spec.build(seed), policy(i) if callable(policy) else policy, test_steps)]
+        return [run_policy(spec.build(seed), policy(i) if callable(policy) else policy, horizon)]
 
-    return _fold_runs(rollout, 1, runs, base_seed)[0]
+    return _fold_runs(rollout, 1, config)[0]
 
 
 @dataclass(frozen=True)
@@ -182,33 +181,32 @@ class SweepResult:
     best_value: int
 
 
-def _threshold_policy(metric: str, value: int) -> Policy:
-    if metric == "aoii":
+def _threshold_policy(spec: EnvSpec, value: int) -> Policy:
+    if spec.metric == "aoii":
         return AoiiThresholdPolicy(value)
     return ThresholdPolicy(value)
 
 
-def threshold_sweep(metric: str, thresholds: list[int], config: ExperimentConfig) -> SweepResult:
-    """Evaluate threshold policies in ascending order on shared evaluation seeds.
+def threshold_sweep(thresholds: list[int], config: ExperimentConfig) -> SweepResult:
+    """Evaluate threshold policies of ``config.env``'s metric in ascending
+    order on shared evaluation seeds.
 
-    Each point equals ``evaluate`` of its threshold policy under the
-    config's run profile; all thresholds are rolled out together on each
-    run's events.
+    Each point equals ``evaluate`` of its threshold policy under the same
+    config; all thresholds are rolled out together on each run's events.
     """
     if not thresholds:
         raise ValueError("thresholds must be a nonempty list")
     values = sorted(thresholds)
     for value in values:
-        _threshold_policy(metric, value)  # rejects an invalid threshold before any draw
-    spec = replace(config.env, metric=metric)
+        _threshold_policy(config.env, value)  # rejects an invalid threshold before any draw
 
     def rollout(seed: np.random.SeedSequence, i: int) -> list[TrajectoryStats]:
-        return threshold_rollouts(spec, seed, values, config.test_steps)
+        return threshold_rollouts(config.env, seed, values, config.test_steps)
 
-    stats = _fold_runs(rollout, len(values), config.runs, config.base_seed)
+    stats = _fold_runs(rollout, len(values), config)
     points = [SweepPoint(value, point) for value, point in zip(values, stats)]
     return SweepResult(
-        variable="theta" if metric == "aoii" else "n",
+        variable="theta" if config.env.metric == "aoii" else "n",
         points=tuple(points),
         best_value=min(points, key=lambda p: p.stats.mean_cost).value,
     )
@@ -231,10 +229,9 @@ class ComparisonResult(Mapping[str, RunStats]):
         return len(self.results)
 
 
-def learning_comparison(
-    metric: str, learn_steps: int, config: ExperimentConfig
-) -> ComparisonResult:
-    """Train both learners fresh per run and evaluate them against baselines.
+def learning_comparison(config: ExperimentConfig) -> ComparisonResult:
+    """Train both learners fresh per run on ``config.env`` for
+    ``config.learning.steps`` and evaluate them against baselines.
 
     Strategies: "random" (sends with the arrival probability), "threshold"
     (fixed benchmark threshold), "qlearn" (plain learner, rho forced to 1),
@@ -245,7 +242,7 @@ def learning_comparison(
     """
     import numpy as np
 
-    spec = replace(config.env, metric=metric)
+    spec = config.env
     policy_seed = _run_seeds(config.base_seed, POLICY)
     train_seed = _run_seeds(config.base_seed, TRAINING)
     explore_seed = _run_seeds(config.base_seed, EXPLORATION)
@@ -257,15 +254,13 @@ def learning_comparison(
     # threshold and for theta = 0 (always send) are those strategies' results.
     known: dict[str, RunStats] = {}
     threshold = config.threshold
-    if threshold is None and metric == "aoii":
-        sweep = threshold_sweep("aoii", list(range(0, 7)), config)
+    if threshold is None and spec.metric == "aoii":
+        sweep = threshold_sweep(list(range(0, 7)), config)
         threshold = sweep.best_value
         by_value = {point.value: point.stats for point in sweep.points}
         known = {"threshold": by_value[threshold], "always_send": by_value[0]}
     elif threshold is None:
         threshold = optimal_threshold(spec.params, q=spec.q)
-    lp_risk = replace(config.learning, steps=learn_steps)
-    lp_plain = replace(lp_risk, rho=1.0)
 
     def learner(params: LearningParams) -> Callable[[int], Policy]:
         def trained(i: int) -> Policy:
@@ -278,16 +273,14 @@ def learning_comparison(
     # can be evaluated one after another.
     strategies: dict[str, PolicyLike] = {
         "random": lambda i: RandomPolicy(spec.params.lam, np.random.default_rng(policy_seed(i))),
-        "threshold": _threshold_policy(metric, threshold),
-        "qlearn": learner(lp_plain),
-        "qlearn_risk": learner(lp_risk),
+        "threshold": _threshold_policy(spec, threshold),
+        "qlearn": learner(replace(config.learning, rho=1.0)),
+        "qlearn_risk": learner(config.learning),
     }
-    if metric == "aoii":
+    if spec.metric == "aoii":
         strategies["always_send"] = AoiiThresholdPolicy(0)
     results = {
-        name: known[name]
-        if name in known
-        else evaluate(policy, spec, config.test_steps, config.runs, config.base_seed)
+        name: known[name] if name in known else evaluate(policy, config)
         for name, policy in strategies.items()
     }
     return ComparisonResult(results, threshold)
@@ -305,9 +298,7 @@ def query_prob_sweep(
         raise ValueError("q_values must be a nonempty list")
     return {
         q: learning_comparison(
-            "qaoi",
-            config.learning.steps,
-            replace(config, env=replace(config.env, metric="qaoi", query=QuerySpec(q))),
+            replace(config, env=replace(config.env, metric="qaoi", query=QuerySpec(q)))
         )
         for q in sorted(q_values)
     }
@@ -331,22 +322,16 @@ class ResultRow:
 
     @classmethod
     def from_stats(
-        cls,
-        experiment_id: str,
-        metric: str,
-        strategy: str,
-        param: str,
-        learn_steps: int | None,
-        stats: RunStats,
-        config: ExperimentConfig,
+        cls, experiment_id: str, strategy: str, param: str, stats: RunStats, config: ExperimentConfig
     ) -> ResultRow:
-        """A row for one strategy's statistics under the config's run profile."""
+        """A row for one strategy's statistics under the config's metric and
+        run profile; only a learner's row ("qlearn*") carries its training length."""
         return cls(
             experiment_id=experiment_id,
-            metric=metric,
+            metric=config.env.metric,
             strategy=strategy,
             param=param,
-            learn_steps=learn_steps,
+            learn_steps=config.learning.steps if strategy.startswith("qlearn") else None,
             test_steps=config.test_steps,
             runs=config.runs,
             mean_cost=stats.mean_cost,
@@ -360,11 +345,7 @@ CSV_COLUMNS = [f.name for f in fields(ResultRow)]
 
 
 def comparison_rows(
-    experiment_id: str,
-    metric: str,
-    learn_steps: int,
-    comparison: ComparisonResult,
-    config: ExperimentConfig,
+    experiment_id: str, comparison: ComparisonResult, config: ExperimentConfig
 ) -> list[ResultRow]:
     """One row per strategy, sorted by name; send_prob and rho come from the config."""
     params = {
@@ -375,31 +356,15 @@ def comparison_rows(
         "qlearn_risk": f"rho={config.learning.rho:g}",
     }
     return [
-        ResultRow.from_stats(
-            experiment_id,
-            metric,
-            name,
-            params[name],
-            learn_steps if name.startswith("qlearn") else None,
-            stats,
-            config,
-        )
+        ResultRow.from_stats(experiment_id, name, params[name], stats, config)
         for name, stats in sorted(comparison.items())
     ]
 
 
-def sweep_rows(
-    experiment_id: str, metric: str, sweep: SweepResult, config: ExperimentConfig
-) -> list[ResultRow]:
+def sweep_rows(experiment_id: str, sweep: SweepResult, config: ExperimentConfig) -> list[ResultRow]:
     return [
         ResultRow.from_stats(
-            experiment_id,
-            metric,
-            "threshold",
-            f"{sweep.variable}={point.value}",
-            None,
-            point.stats,
-            config,
+            experiment_id, "threshold", f"{sweep.variable}={point.value}", point.stats, config
         )
         for point in sweep.points
     ]

@@ -9,7 +9,7 @@ recovers the plain learner exactly, bit for bit under a shared seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -155,8 +155,7 @@ class TrainReport:
     table: QTable
     visits: np.ndarray
     final_epsilon: float
-    epsilon_trace: list[tuple[int, float]] = field(repr=False)
-    risky_transitions: int = 0
+    risky_transitions: int
 
 
 def train(
@@ -189,12 +188,10 @@ def train(
     epsilon0 = params.epsilon0
     delta = params.delta
     epsilon_min = params.epsilon_min
-    trace_every = max(1, params.steps // 10)
     step = env.step
     here = slot_of(env.state)
     eps = epsilon0
     risky_seen = 0
-    trace: list[tuple[int, float]] = []
     for i in range(1, params.steps + 1):
         if next(uniform) < eps:
             action = SEND if next(uniform) < 0.5 else WAIT
@@ -219,12 +216,9 @@ def train(
         q[entry] = (1.0 - rate) * q[entry] + rate * (cost + gamma * bootstrap)
         visits[entry] += 1
         here = there
-        if i % trace_every == 0:
-            trace.append((i, eps))
     return TrainReport(
         table=QTable(metric, a_cap, np.array(q).reshape(shape)),
         visits=np.array(visits, dtype=np.int64).reshape(shape),
         final_epsilon=eps,
-        epsilon_trace=trace,
         risky_transitions=risky_seen,
     )

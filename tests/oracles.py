@@ -223,7 +223,7 @@ def period_records(
     """
     from agelab.strategy import ThresholdPolicy
 
-    env = AoiEnv(params, seed=seed)
+    env = AoiEnv(EnvSpec(params=params), seed=seed)
     policy = ThresholdPolicy(n)
     records: list[tuple[int, int]] = []
     start_age: int | None = None

@@ -50,20 +50,30 @@ def announce(capsys, tag, ok, detail):
 
 @pytest.fixture(scope="module")
 def compare_aoi_short():
-    config = ExperimentConfig(test_steps=10_000, runs=20, base_seed=1)
-    return learning_comparison("aoi", 100_000, config)
+    config = ExperimentConfig(
+        learning=LearningParams(steps=100_000), test_steps=10_000, runs=20, base_seed=1
+    )
+    return learning_comparison(config)
 
 
 @pytest.fixture(scope="module")
 def compare_aoi_long():
-    config = ExperimentConfig(test_steps=10_000, runs=10, base_seed=1)
-    return learning_comparison("aoi", 1_000_000, config)
+    config = ExperimentConfig(
+        learning=LearningParams(steps=1_000_000), test_steps=10_000, runs=10, base_seed=1
+    )
+    return learning_comparison(config)
 
 
 @pytest.fixture(scope="module")
 def compare_aoii_long():
-    config = ExperimentConfig(test_steps=10_000, runs=20, base_seed=1)
-    return learning_comparison("aoii", 1_000_000, config)
+    config = ExperimentConfig(
+        env=EnvSpec("aoii"),
+        learning=LearningParams(steps=1_000_000),
+        test_steps=10_000,
+        runs=20,
+        base_seed=1,
+    )
+    return learning_comparison(config)
 
 
 def test_accept_1_closed_form_cost_matches_long_simulation(capsys):
@@ -74,7 +84,7 @@ def test_accept_1_closed_form_cost_matches_long_simulation(capsys):
         for p in (0.5, 0.9):
             params = SystemParams(p=p, lam=lam)
             for n in range(1, 9):
-                env = AoiEnv(params, zeta=5, seed=100 + index)
+                env = AoiEnv(EnvSpec(params=params, risk=RiskSpec(zeta=5)), seed=100 + index)
                 index += 1
                 stats = run_policy(env, ThresholdPolicy(n), 1_000_000)
                 exact = threshold_cost_aoi(n, params)
@@ -98,11 +108,12 @@ def test_accept_2_optimal_thresholds_on_the_default_grid(capsys):
 
 def test_accept_3_age_frequencies_match_a_ten_million_step_run(capsys):
     steps = 10_000_000
-    stats = run_policy(AoiEnv(DEFAULTS, zeta=5, seed=3), ThresholdPolicy(2), steps)
+    spec = EnvSpec(params=DEFAULTS, risk=RiskSpec(zeta=5))
+    stats = run_policy(AoiEnv(spec, seed=3), ThresholdPolicy(2), steps)
     # the same events again, counting how often each receiver age is visited
     visits = Counter(
         out.next_state[1]
-        for out in iterate_outcomes(AoiEnv(DEFAULTS, zeta=5, seed=3), ThresholdPolicy(2), steps)
+        for out in iterate_outcomes(AoiEnv(spec, seed=3), ThresholdPolicy(2), steps)
     )
     gaps = {}
     for k in range(3, 11):
@@ -128,8 +139,8 @@ def test_accept_3_age_frequencies_match_a_ten_million_step_run(capsys):
 
 
 def test_accept_4_mismatch_sweep_selects_threshold_one(capsys):
-    config = ExperimentConfig(test_steps=10_000, runs=20, base_seed=1)
-    sweep = threshold_sweep("aoii", list(range(0, 7)), config)
+    config = ExperimentConfig(env=EnvSpec("aoii"), test_steps=10_000, runs=20, base_seed=1)
+    sweep = threshold_sweep(list(range(0, 7)), config)
     costs = {point.value: round(point.stats.mean_cost, 4) for point in sweep.points}
     ok = sweep.best_value == 1
     announce(capsys, 4, ok, f"best theta={sweep.best_value}, sweep costs {costs}")
@@ -296,15 +307,13 @@ def test_accept_8_model_invariants(capsys):
         assert all(a <= b + 1e-15 for a, b in zip(freqs, freqs[1:]))
 
     # the whole harness replays bit-identically from a seed
-    spec = EnvSpec("aoi")
-    assert evaluate(ThresholdPolicy(2), spec, 2000, 3, 9) == evaluate(
-        ThresholdPolicy(2), spec, 2000, 3, 9
-    )
+    config = ExperimentConfig(EnvSpec("aoi"), test_steps=2000, runs=3, base_seed=9)
+    assert evaluate(ThresholdPolicy(2), config) == evaluate(ThresholdPolicy(2), config)
     config = ExperimentConfig(
         learning=LearningParams(steps=2000, a_max=32), test_steps=1000, runs=2, base_seed=4
     )
-    first = learning_comparison("aoi", 2000, config)
-    second = learning_comparison("aoi", 2000, config)
+    first = learning_comparison(config)
+    second = learning_comparison(config)
     assert dict(first) == dict(second)
 
     announce(capsys, 8, True, "kernel, weight, reach, gating, learning and replay invariants hold")

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import agelab
-from agelab.cli import UsageError, build_parser, format_config_text, main, parse_config_text
+from agelab.cli import UsageError, build_parser, main, parse_config_text
 
 CSV_HEADER = (
     "experiment_id", "metric", "strategy", "param", "learn_steps", "test_steps", "runs",
@@ -30,7 +30,7 @@ def run_cli(argv, capsys):
 
 def test_parse_config_round_trip():
     cfg = {"p": 0.8, "lambda": 0.4, "runs": 20, "metric": "qaoi", "threshold": 3}
-    text = format_config_text(cfg)
+    text = "lambda = 0.4\nmetric = qaoi\np = 0.8\nruns = 20\nthreshold = 3\n"
     assert parse_config_text(text) == cfg
 
 
@@ -49,11 +49,6 @@ def test_parse_config_bad_value_and_missing_equals():
         parse_config_text("p = high\n")
     with pytest.raises(UsageError, match="expected 'key = value'"):
         parse_config_text("just words\n")
-
-
-def test_format_config_rejects_unknown_keys():
-    with pytest.raises(UsageError):
-        format_config_text({"bogus": 1})
 
 
 # top-level behaviour
@@ -744,6 +739,26 @@ def test_preset_uses_model_keys_whatever_the_metric_flag_says(
     assert code == 0
     csv_name = f"{figure}.csv"
     assert (tmp_path / "a" / csv_name).read_bytes() == (tmp_path / "b" / csv_name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "figure, own, other", [("fig3a", "aoi", "qaoi"), ("fig4", "aoi", "aoii"), ("fig7", "qaoi", "aoi")]
+)
+def test_preset_metric_wins_over_the_metric_flag(capsys, tmp_path, figure, own, other):
+    """--metric naming another metric changes no byte a preset writes or prints."""
+    profile = [
+        "reproduce", figure,
+        "--learn-steps", "1500", "--a-max", "16", "--runs", "2", "--test-steps", "300",
+    ]
+    outputs = []
+    for name, flags in (("plain", []), ("flagged", ["--metric", other])):
+        out_dir = tmp_path / name
+        code, out, err = run_cli([*profile, *flags, "--out-dir", str(out_dir)], capsys)
+        assert code == 0
+        outputs.append((out.replace(str(out_dir), "OUT"), err, _written_files(out_dir)))
+    assert outputs[0] == outputs[1]
+    with open(tmp_path / "flagged" / f"{figure}.csv", newline="") as handle:
+        assert {row["metric"] for row in csv.DictReader(handle)} == {own}
 
 
 def test_config_file_learn_steps_reaches_comparison_presets(capsys, tmp_path):

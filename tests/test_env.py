@@ -139,35 +139,43 @@ def test_aoii_kernel_matches_table():
 def test_initial_states():
     assert INITIAL_AOI == (0, 1)
     assert INITIAL_AOII == (True, 0)
-    env = AoiEnv(SystemParams(), seed=3)
+    env = AoiEnv(EnvSpec(), seed=3)
     assert env.state == INITIAL_AOI
 
 
 def test_env_rejects_bad_safety_level():
-    with pytest.raises(ValueError):
-        AoiEnv(SystemParams(), zeta=0)
-    with pytest.raises(ValueError):
-        AoiiEnv(SystemParams(), SourceSpec(), zeta_aoii=0)
+    """The safety levels are checked once, by RiskSpec, before any env is built."""
+    with pytest.raises(ValueError, match="^zeta must be at least 1, got 0$"):
+        AoiEnv(EnvSpec(risk=RiskSpec(zeta=0)))
+    with pytest.raises(ValueError, match="^zeta_aoii must be at least 1, got 0$"):
+        AoiiEnv(EnvSpec("aoii", risk=RiskSpec(zeta_aoii=0)))
+
+
+def test_env_refuses_a_spec_of_the_other_kind():
+    with pytest.raises(ValueError, match="^AoiEnv simulates aoi and qaoi, not aoii$"):
+        AoiEnv(EnvSpec("aoii"))
+    for metric in ("aoi", "qaoi"):
+        with pytest.raises(ValueError, match=f"^AoiiEnv simulates aoii, not {metric}$"):
+            AoiiEnv(EnvSpec(metric))
 
 
 def test_state_invariants_hold_along_trajectory():
-    env = AoiEnv(SystemParams(), seed=11)
+    env = AoiEnv(EnvSpec(), seed=11)
     rng = np.random.default_rng(5)
     policy = RandomPolicy(0.5, rng)
     for out in iterate_outcomes(env, policy, 2000):
         tx, rx = out.next_state
         assert 0 <= tx <= rx
         assert rx >= 1
-    env2 = AoiiEnv(SystemParams(), SourceSpec(), seed=11)
+    env2 = AoiiEnv(EnvSpec("aoii"), seed=11)
     for out in iterate_outcomes(env2, AoiiThresholdPolicy(1), 2000):
         synced, age = out.next_state
         assert synced == (age == 0)
 
 
 def test_replay_determinism_same_seed():
-    params = SystemParams()
-    first = AoiEnv(params, seed=42)
-    second = AoiEnv(params, seed=42)
+    first = AoiEnv(EnvSpec(), seed=42)
+    second = AoiEnv(EnvSpec(), seed=42)
     policy = ThresholdPolicy(2)
     outs1 = list(iterate_outcomes(first, policy, 500))
     outs2 = list(iterate_outcomes(second, policy, 500))
@@ -178,17 +186,17 @@ def test_reset_replays_identically():
     # A run restarts by building a new env from the same SeedSequence object,
     # as the paired learners' training envs do; building one must not advance
     # the sequence for the next, and each starts from the initial state.
-    params = SystemParams()
+    spec = EnvSpec("aoii")
     seed = np.random.SeedSequence(9).spawn(1)[0]
     policy = AoiiThresholdPolicy(2)
-    env = AoiiEnv(params, SourceSpec(), seed=seed)
+    env = AoiiEnv(spec, seed=seed)
     outs1 = list(iterate_outcomes(env, policy, 300))
-    replay = AoiiEnv(params, SourceSpec(), seed=seed)
+    replay = AoiiEnv(spec, seed=seed)
     assert replay.state == INITIAL_AOII
     outs2 = list(iterate_outcomes(replay, policy, 300))
     assert outs1 == outs2
     assert outs1 != list(
-        iterate_outcomes(AoiiEnv(params, SourceSpec(), seed=seed.spawn(1)[0]), policy, 300)
+        iterate_outcomes(AoiiEnv(spec, seed=seed.spawn(1)[0]), policy, 300)
     )
 
 
@@ -205,10 +213,8 @@ def test_buffered_stream_replays_single_draws(block, monkeypatch):
 
 def test_event_streams_do_not_depend_on_policy():
     """Arrivals are a fixed function of the seed, whatever the policy does."""
-    params = SystemParams()
-
     def arrivals(policy):
-        env = AoiEnv(params, seed=77)
+        env = AoiEnv(EnvSpec(), seed=77)
         flags = []
         for out in iterate_outcomes(env, policy, 400):
             flags.append(out.next_state[0] == 0)
@@ -220,7 +226,7 @@ def test_event_streams_do_not_depend_on_policy():
 def test_deterministic_limit_always_send_cycles():
     """With certain arrivals and a perfect channel the age pins at one."""
     params = SystemParams(p=1.0, lam=1.0)
-    env = AoiEnv(params, seed=0)
+    env = AoiEnv(EnvSpec(params=params), seed=0)
     for _ in range(50):
         out = env.step(SEND)
         assert out.next_state == (0, 1)
@@ -229,8 +235,7 @@ def test_deterministic_limit_always_send_cycles():
 
 
 def test_deterministic_limit_wait_grows_linearly():
-    params = SystemParams(p=1.0, lam=1.0)
-    env = AoiEnv(params, seed=0)
+    env = AoiEnv(EnvSpec(params=SystemParams(p=1.0, lam=1.0)), seed=0)
     for k in range(2, 20):
         out = env.step(WAIT)
         assert out.next_state[1] == k
@@ -239,7 +244,7 @@ def test_deterministic_limit_wait_grows_linearly():
 
 def test_cost_and_risky_follow_landing_state():
     params = SystemParams()
-    env = AoiEnv(params, zeta=5, seed=123)
+    env = AoiEnv(EnvSpec(params=params, risk=RiskSpec(zeta=5)), seed=123)
     for out in iterate_outcomes(env, ThresholdPolicy(3), 400):
         _, rx = out.next_state
         expected = params.alpha * rx + (params.beta * params.nu if out.sent else 0.0)
@@ -249,7 +254,7 @@ def test_cost_and_risky_follow_landing_state():
 
 def test_query_gating_zeroes_age_term_only():
     params = SystemParams()
-    env = AoiEnv(params, query=QuerySpec(q=0.3), seed=21)
+    env = AoiEnv(EnvSpec("qaoi", params, query=QuerySpec(q=0.3)), seed=21)
     queries = 0
     for out in iterate_outcomes(env, ThresholdPolicy(2), 1500):
         energy = params.beta * params.nu if out.sent else 0.0
@@ -264,9 +269,8 @@ def test_query_gating_zeroes_age_term_only():
 
 def test_query_probability_one_matches_plain_metric():
     """q = 1 turns every step into a query step, recovering the plain cost."""
-    params = SystemParams()
-    plain = AoiEnv(params, seed=31)
-    gated = AoiEnv(params, query=QuerySpec(q=1.0), seed=31)
+    plain = AoiEnv(EnvSpec(), seed=31)
+    gated = AoiEnv(EnvSpec("qaoi", query=QuerySpec(q=1.0)), seed=31)
     policy = ThresholdPolicy(2)
     for _ in range(500):
         a = plain.step(policy.decide(plain.state))
@@ -277,10 +281,9 @@ def test_query_probability_one_matches_plain_metric():
 
 
 def test_run_policy_aggregates_match_manual_replay():
-    params = SystemParams()
-    env = AoiEnv(params, seed=14)
+    env = AoiEnv(EnvSpec(), seed=14)
     stats = run_policy(env, ThresholdPolicy(2), 1000)
-    outs = list(iterate_outcomes(AoiEnv(params, seed=14), ThresholdPolicy(2), 1000))
+    outs = list(iterate_outcomes(AoiEnv(EnvSpec(), seed=14), ThresholdPolicy(2), 1000))
     assert stats.steps == 1000
     assert stats.avg_cost == pytest.approx(sum(o.cost for o in outs) / 1000)
     assert stats.risky_freq == pytest.approx(sum(o.risky for o in outs) / 1000)
@@ -290,7 +293,7 @@ def test_run_policy_aggregates_match_manual_replay():
 
 def test_run_policy_rejects_empty_horizon():
     with pytest.raises(ValueError):
-        run_policy(AoiEnv(SystemParams(), seed=0), ThresholdPolicy(1), 0)
+        run_policy(AoiEnv(EnvSpec(), seed=0), ThresholdPolicy(1), 0)
 
 
 # --- seeded rollouts against independent replays ---------------------------

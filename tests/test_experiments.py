@@ -12,9 +12,6 @@ from agelab import (
     EnvSpec,
     ExperimentConfig,
     LearningParams,
-    QuerySpec,
-    RiskSpec,
-    SourceSpec,
     SystemParams,
     cost_breakdown,
     evaluate,
@@ -45,6 +42,10 @@ FAST = ExperimentConfig(
 )
 
 
+def with_metric(config, metric):
+    return replace(config, env=replace(config.env, metric=metric))
+
+
 def test_env_spec_builds_each_metric():
     plain = EnvSpec("aoi").build(0)
     assert isinstance(plain, AoiEnv)
@@ -71,13 +72,11 @@ def test_experiment_config_validation():
 
 
 def test_library_entry_points_name_a_negative_seed():
-    """A negative seed is refused where it enters numpy, under the argument's name."""
+    """A negative seed is refused where it enters numpy."""
     with pytest.raises(ValueError, match="^seed must be nonnegative, got -3$"):
-        AoiEnv(SystemParams(), seed=-3)
+        AoiEnv(EnvSpec(), seed=-3)
     with pytest.raises(ValueError, match="^seed must be nonnegative, got -3$"):
-        AoiiEnv(SystemParams(), SourceSpec(), seed=-3)
-    with pytest.raises(ValueError, match="^base_seed must be nonnegative, got -1$"):
-        evaluate(ThresholdPolicy(2), EnvSpec("aoi"), test_steps=10, runs=1, base_seed=-1)
+        AoiiEnv(EnvSpec("aoii"), seed=-3)
     with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
         train(EnvSpec("aoi").build(0), LearningParams(steps=10), seed=-1)
 
@@ -95,7 +94,7 @@ def test_run_stats_aggregation():
 def test_evaluate_exact_in_deterministic_limit():
     """Certain arrivals and deliveries pin the age at one and the cost at four."""
     spec = EnvSpec("aoi", params=SystemParams(p=1.0, lam=1.0))
-    stats = evaluate(ThresholdPolicy(1), spec, test_steps=500, runs=4, base_seed=0)
+    stats = evaluate(ThresholdPolicy(1), ExperimentConfig(spec, test_steps=500, runs=4))
     assert stats.mean_cost == pytest.approx(4.0)
     assert stats.std_cost == 0.0
     assert stats.mean_risky_freq == 0.0
@@ -103,14 +102,15 @@ def test_evaluate_exact_in_deterministic_limit():
 
 
 def test_evaluate_needs_a_run():
-    with pytest.raises(ValueError, match="runs must be at least 1, got 0"):
-        evaluate(ThresholdPolicy(1), EnvSpec("aoi"), test_steps=10, runs=0)
+    """The config refuses zero runs, so no evaluation is ever asked for none."""
+    with pytest.raises(ValueError, match="^runs must be at least 1, got 0$"):
+        evaluate(ThresholdPolicy(1), replace(FAST, runs=0))
 
 
 def test_evaluate_is_deterministic():
-    spec = EnvSpec("aoi")
-    a = evaluate(ThresholdPolicy(2), spec, test_steps=1500, runs=4, base_seed=9)
-    b = evaluate(ThresholdPolicy(2), spec, test_steps=1500, runs=4, base_seed=9)
+    config = ExperimentConfig(EnvSpec("aoi"), test_steps=1500, runs=4, base_seed=9)
+    a = evaluate(ThresholdPolicy(2), config)
+    b = evaluate(ThresholdPolicy(2), config)
     assert a == b
 
 
@@ -121,31 +121,32 @@ def test_evaluate_policy_factory_gets_per_run_seeds():
     def factory(i):
         return RandomPolicy(0.5, np.random.default_rng(seeds[i]))
 
-    a = evaluate(factory, spec, test_steps=1500, runs=4, base_seed=9)
-    b = evaluate(factory, spec, test_steps=1500, runs=4, base_seed=9)
+    config = ExperimentConfig(spec, test_steps=1500, runs=4, base_seed=9)
+    a = evaluate(factory, config)
+    b = evaluate(factory, config)
     assert a == b
     # distinct per-run streams: not all runs produce identical costs
     assert len(set(a.costs)) > 1
 
     # a comparison's learners are such factories: one greedy policy per run,
     # trained on that run's training and exploration seeds
-    comparison = learning_comparison("aoi", 3000, FAST)
+    comparison = learning_comparison(FAST)
     # run i's training and exploration seeds: children i of the base seed's
     # third and fourth children
     _, _, train_ns, explore_ns = np.random.SeedSequence(FAST.base_seed).spawn(4)
     train_seeds, explore_seeds = train_ns.spawn(FAST.runs), explore_ns.spawn(FAST.runs)
-    plain = replace(FAST.learning, steps=3000, rho=1.0)
+    plain = replace(FAST.learning, rho=1.0)
 
     def learner(i):
         report = train(spec.build(train_seeds[i]), plain, explore_seeds[i])
         return GreedyPolicy(report.table)
 
-    direct = evaluate(learner, spec, FAST.test_steps, FAST.runs, FAST.base_seed)
+    direct = evaluate(learner, FAST)
     assert comparison["qlearn"] == direct
 
 
 def test_threshold_sweep_structure():
-    sweep = threshold_sweep("aoi", [3, 1, 2], FAST)
+    sweep = threshold_sweep([3, 1, 2], FAST)
     assert sweep.variable == "n"
     assert [point.value for point in sweep.points] == [1, 2, 3]
     assert sweep.best_value == 2
@@ -156,7 +157,7 @@ def test_threshold_sweep_structure():
 
 
 def test_threshold_sweep_mismatch_metric_has_no_overlay(tmp_path):
-    sweep = threshold_sweep("aoii", [0, 1, 2], FAST)
+    sweep = threshold_sweep([0, 1, 2], with_metric(FAST, "aoii"))
     assert sweep.variable == "theta"
     assert [point.value for point in sweep.points] == [0, 1, 2]
     # the mismatch metric has no closed form, so its preset writes no overlay
@@ -168,7 +169,7 @@ def test_threshold_sweep_mismatch_metric_has_no_overlay(tmp_path):
 
 def test_threshold_sweep_rejects_empty():
     with pytest.raises(ValueError):
-        threshold_sweep("aoi", [], FAST)
+        threshold_sweep([], FAST)
 
 
 @pytest.mark.parametrize(
@@ -182,7 +183,7 @@ def test_threshold_sweep_validates_thresholds_before_any_draw(monkeypatch, metri
 
     monkeypatch.setattr(env_module, "_substreams", no_draws)
     with pytest.raises(ValueError, match=message):
-        threshold_sweep(metric, values, FAST)
+        threshold_sweep(values, with_metric(FAST, metric))
 
 
 @pytest.mark.parametrize("metric", ["aoi", "qaoi", "aoii"])
@@ -197,7 +198,7 @@ def test_threshold_sweep_derives_each_run_substreams_once(monkeypatch, metric):
         return derive(seed)
 
     monkeypatch.setattr(env_module, "_substreams", counted)
-    threshold_sweep(metric, [1, 2], FAST)
+    threshold_sweep([1, 2], with_metric(FAST, metric))
     assert len(derived) == FAST.runs
 
 
@@ -208,13 +209,12 @@ def test_memory_grows_by_three_floats_per_run(experiment):
     one-strategy experiment grows by at most 160 B per run."""
     import tracemalloc
 
-    spec = EnvSpec("aoi")
-
     def run(runs):
+        config = ExperimentConfig(EnvSpec("aoi"), test_steps=1, runs=runs)
         if experiment == "evaluate":
-            evaluate(ThresholdPolicy(2), spec, test_steps=1, runs=runs)
+            evaluate(ThresholdPolicy(2), config)
         else:
-            threshold_sweep("aoi", [2], ExperimentConfig(env=spec, test_steps=1, runs=runs))
+            threshold_sweep([2], config)
 
     def traced_peak(runs):
         tracemalloc.start()
@@ -231,30 +231,30 @@ def test_memory_grows_by_three_floats_per_run(experiment):
 
 @pytest.mark.parametrize("metric, values", [("aoi", [1, 3]), ("qaoi", [2, 4]), ("aoii", [0, 2])])
 def test_threshold_sweep_points_equal_evaluate(metric, values):
-    sweep = threshold_sweep(metric, values, FAST)
-    spec = replace(FAST.env, metric=metric)
+    config = with_metric(FAST, metric)
+    sweep = threshold_sweep(values, config)
     for point in sweep.points:
         policy = AoiiThresholdPolicy(point.value) if metric == "aoii" else ThresholdPolicy(point.value)
-        assert point.stats == evaluate(policy, spec, FAST.test_steps, FAST.runs, FAST.base_seed)
+        assert point.stats == evaluate(policy, config)
 
 
 def test_learning_comparison_structure_and_pairing():
-    comparison = learning_comparison("aoi", 3000, FAST)
+    comparison = learning_comparison(FAST)
     assert set(comparison) == {"random", "threshold", "qlearn", "qlearn_risk"}
     assert comparison.threshold == 2  # analytic optimum fills the default
-    rows = {row.strategy: row for row in comparison_rows("c", "aoi", 3000, comparison, FAST)}
+    rows = {row.strategy: row for row in comparison_rows("c", comparison, FAST)}
     assert {row.metric for row in rows.values()} == {"aoi"}
     assert rows["qlearn"].learn_steps == rows["qlearn_risk"].learn_steps == 3000
     assert rows["random"].param == "send_prob=0.5"  # arrival probability fills the default
     assert rows["qlearn_risk"].param == "rho=2"
     # every strategy faced the same evaluation environments: the threshold
     # row must agree exactly with a standalone evaluation at the same seed
-    direct = evaluate(ThresholdPolicy(2), EnvSpec("aoi"), FAST.test_steps, FAST.runs, FAST.base_seed)
+    direct = evaluate(ThresholdPolicy(2), FAST)
     assert comparison["threshold"] == direct
 
 
 def test_learning_comparison_mismatch_adds_always_send():
-    comparison = learning_comparison("aoii", 3000, FAST)
+    comparison = learning_comparison(with_metric(FAST, "aoii"))
     assert "always_send" in set(comparison)
     assert comparison["always_send"].mean_send_rate == 1.0
 
@@ -266,7 +266,11 @@ def test_mismatch_baselines_come_from_the_threshold_sweep(monkeypatch):
     rolls its thresholds out together without stepping an env, so only the
     learners and the greedy/random rollouts step one."""
     config = ExperimentConfig(
-        learning=LearningParams(steps=500, a_max=32), test_steps=400, runs=2, base_seed=7
+        env=EnvSpec("aoii"),
+        learning=LearningParams(steps=500, a_max=32),
+        test_steps=400,
+        runs=2,
+        base_seed=7,
     )
     steps = 0
     plain_step = AoiiEnv.step
@@ -277,13 +281,12 @@ def test_mismatch_baselines_come_from_the_threshold_sweep(monkeypatch):
         return plain_step(self, action)
 
     monkeypatch.setattr(AoiiEnv, "step", counted_step)
-    comparison = learning_comparison("aoii", 500, config)
+    comparison = learning_comparison(config)
     # two learners and three greedy/random rollouts per run
     assert steps == 2 * (2 * 500 + 3 * 400)
     monkeypatch.undo()
-    spec = EnvSpec("aoii")
     for name, theta in (("threshold", comparison.threshold), ("always_send", 0)):
-        direct = evaluate(AoiiThresholdPolicy(theta), spec, 400, 2, 7)
+        direct = evaluate(AoiiThresholdPolicy(theta), config)
         assert comparison[name] == direct
 
 
@@ -294,11 +297,11 @@ def test_learning_comparison_takes_rho_from_the_learning_parameters():
         runs=2,
         base_seed=1,
     )
-    comparison = learning_comparison("aoi", 2000, config)
+    comparison = learning_comparison(config)
     doubled_config = replace(config, learning=LearningParams(steps=2000, a_max=32))
-    doubled = learning_comparison("aoi", 2000, doubled_config)
+    doubled = learning_comparison(doubled_config)
     for result, cfg, label in ((comparison, config, "rho=3"), (doubled, doubled_config, "rho=2")):
-        rows = {row.strategy: row for row in comparison_rows("c", "aoi", 2000, result, cfg)}
+        rows = {row.strategy: row for row in comparison_rows("c", result, cfg)}
         assert rows["qlearn_risk"].param == label
         assert rows["qlearn"].param == "rho=1"
     assert comparison["qlearn"] == doubled["qlearn"]  # the plain learner always runs at 1
@@ -313,7 +316,7 @@ def test_learning_comparison_respects_overrides():
         runs=2,
         base_seed=1,
     )
-    comparison = learning_comparison("aoi", 3000, config)
+    comparison = learning_comparison(config)
     assert comparison.threshold == 4
 
 
@@ -335,8 +338,8 @@ def test_query_sweep_points_carry_analytic_optimum():
 
 
 def test_comparison_rows_and_csv(tmp_path):
-    comparison = learning_comparison("aoi", 3000, FAST)
-    rows = comparison_rows("compare-aoi", "aoi", 3000, comparison, FAST)
+    comparison = learning_comparison(FAST)
+    rows = comparison_rows("compare-aoi", comparison, FAST)
     assert [row.strategy for row in rows] == ["qlearn", "qlearn_risk", "random", "threshold"]
     by_name = {row.strategy: row for row in rows}
     assert by_name["random"].param == "send_prob=0.5"
@@ -363,8 +366,9 @@ def test_comparison_rows_and_csv(tmp_path):
 
 
 def test_sweep_rows_name_the_variable(tmp_path):
-    sweep = threshold_sweep("aoii", [0, 1], FAST)
-    rows = sweep_rows("sweep-aoii", "aoii", sweep, FAST)
+    config = with_metric(FAST, "aoii")
+    sweep = threshold_sweep([0, 1], config)
+    rows = sweep_rows("sweep-aoii", sweep, config)
     assert [row.param for row in rows] == ["theta=0", "theta=1"]
     assert all(row.learn_steps is None for row in rows)
     summary = format_summary(rows)

@@ -18,7 +18,6 @@ from agelab import (
     LearningParams,
     QTable,
     QuerySpec,
-    SourceSpec,
     SystemParams,
     train,
 )
@@ -221,10 +220,9 @@ def test_a_max_bound_is_checked_before_any_table_exists():
 
 
 def test_train_is_deterministic():
-    params = SystemParams()
     spec = LearningParams(steps=3000, a_max=32)
-    one = train(AoiEnv(params, seed=5), spec, seed=11)
-    two = train(AoiEnv(params, seed=5), spec, seed=11)
+    one = train(AoiEnv(EnvSpec(), seed=5), spec, seed=11)
+    two = train(AoiEnv(EnvSpec(), seed=5), spec, seed=11)
     assert np.array_equal(one.table.values, two.table.values)
     assert np.array_equal(one.visits, two.visits)
     assert one.final_epsilon == two.final_epsilon
@@ -232,36 +230,39 @@ def test_train_is_deterministic():
 
 def test_train_visits_account_for_every_step():
     spec = LearningParams(steps=4000, a_max=32)
-    report = train(AoiEnv(SystemParams(), seed=2), spec, seed=3)
+    report = train(AoiEnv(EnvSpec(), seed=2), spec, seed=3)
     assert int(report.visits.sum()) == 4000
 
 
 def test_train_epsilon_closed_form():
-    spec = LearningParams(steps=5000, epsilon0=0.9, delta=0.999, epsilon_min=0.05, a_max=32)
-    report = train(AoiEnv(SystemParams(), seed=2), spec, seed=3)
-    for i, eps in report.epsilon_trace:
-        assert eps == max(0.05, 0.9 * 0.999**i)
-    assert report.epsilon_trace[-1] == (5000, 0.05)
-    assert report.final_epsilon == 0.05
+    """epsilon after i steps is max(epsilon_min, epsilon0 * delta**i); a
+    floor of 0.05 binds at 5000 steps but not at 1 or 10."""
+    finals = {}
+    for steps in (1, 10, 5000):
+        for floor in (0.0, 0.05):
+            spec = LearningParams(steps=steps, epsilon0=0.9, delta=0.999, epsilon_min=floor, a_max=32)
+            report = train(AoiEnv(EnvSpec(), seed=2), spec, seed=3)
+            assert report.final_epsilon == max(floor, 0.9 * 0.999**steps)
+            finals[steps, floor] = report.final_epsilon
+    assert finals[5000, 0.05] == 0.05 > finals[5000, 0.0]
+    assert finals[1, 0.05] == finals[1, 0.0] == 0.9 * 0.999
+    assert finals[10, 0.05] == finals[10, 0.0] > 0.05
 
 
 def test_risk_neutral_training_matches_textbook_reference():
     """rho = 1 is plain Q-learning, reproduced bit for bit by the dict loop."""
-    params = SystemParams()
     spec = LearningParams(steps=20_000, rho=1.0, a_max=64)
-    report = train(AoiEnv(params, seed=123), spec, seed=456)
-    values, eps, risky = textbook_qlearning(AoiEnv(params, seed=123), 20_000, seed=456, a_max=64)
+    report = train(AoiEnv(EnvSpec(), seed=123), spec, seed=456)
+    values, eps, risky = textbook_qlearning(AoiEnv(EnvSpec(), seed=123), 20_000, seed=456, a_max=64)
     assert np.array_equal(report.table.values, as_array(values, "aoi", 64))
     assert report.final_epsilon == eps
     assert report.risky_transitions == risky
 
 
 def test_risk_neutral_training_matches_reference_on_mismatch_metric():
-    params = SystemParams()
-    source = SourceSpec()
     spec = LearningParams(steps=20_000, rho=1.0, a_max=64)
-    report = train(AoiiEnv(params, source, seed=9), spec, seed=10)
-    values, _, risky = textbook_qlearning(AoiiEnv(params, source, seed=9), 20_000, seed=10, a_max=64)
+    report = train(AoiiEnv(EnvSpec("aoii"), seed=9), spec, seed=10)
+    values, _, risky = textbook_qlearning(AoiiEnv(EnvSpec("aoii"), seed=9), 20_000, seed=10, a_max=64)
     assert np.array_equal(report.table.values, as_array(values, "aoii", 64))
     assert report.risky_transitions == risky
 
@@ -269,12 +270,10 @@ def test_risk_neutral_training_matches_reference_on_mismatch_metric():
 @pytest.mark.parametrize("metric", ["aoi", "aoii"])
 def test_risk_scaled_training_matches_textbook_reference(metric):
     """At rho = 2 risky costs are doubled before the update, exactly as in the dict loop."""
-    params = SystemParams()
-
     def env():
         if metric == "aoii":
-            return AoiiEnv(params, SourceSpec(), seed=9)
-        return AoiEnv(params, seed=123)
+            return AoiiEnv(EnvSpec("aoii"), seed=9)
+        return AoiEnv(EnvSpec(), seed=123)
 
     spec = LearningParams(steps=20_000, rho=2.0, a_max=64)
     report = train(env(), spec, seed=456)
@@ -295,12 +294,8 @@ def test_every_learner_branch_matches_textbook_reference(metric, rho, rate_power
     """The query-gated metric, and the visit-count rate schedule that the
     CLI does not reach, replay the dict loop bit for bit, visit counts
     included."""
-    params = SystemParams()
-
     def env():
-        if metric == "aoii":
-            return AoiiEnv(params, SourceSpec(), seed=21)
-        return AoiEnv(params, query=QuerySpec(q=0.4) if metric == "qaoi" else None, seed=21)
+        return EnvSpec(metric, query=QuerySpec(q=0.4)).build(21)
 
     spec = LearningParams(steps=15_000, rho=rho, rate_power=rate_power, a_max=48)
     report = train(env(), spec, seed=22)
@@ -316,11 +311,10 @@ def test_every_learner_branch_matches_textbook_reference(metric, rho, rate_power
 
 
 def test_risk_factor_changes_learning():
-    params = SystemParams()
     spec_plain = LearningParams(steps=20_000, rho=1.0, a_max=64)
     spec_risk = LearningParams(steps=20_000, rho=2.0, a_max=64)
-    plain = train(AoiEnv(params, seed=123), spec_plain, seed=456)
-    risk = train(AoiEnv(params, seed=123), spec_risk, seed=456)
+    plain = train(AoiEnv(EnvSpec(), seed=123), spec_plain, seed=456)
+    risk = train(AoiEnv(EnvSpec(), seed=123), spec_risk, seed=456)
     assert not np.array_equal(plain.table.values, risk.table.values)
 
 
@@ -328,12 +322,12 @@ def test_visit_count_rate_schedule_first_update():
     """With the polynomial schedule the very first update overwrites outright."""
     params = SystemParams(p=1.0, lam=1.0)
     spec = LearningParams(steps=1, rate_power=1.0, a_max=8)
-    report = train(AoiEnv(params, seed=0), spec, seed=17)
+    report = train(AoiEnv(EnvSpec(params=params), seed=0), spec, seed=17)
     # replay the single decision to find which action the learner explored
     rng = np.random.default_rng(17)
     assert rng.random() < 0.9  # exploring on the first step
     action = SEND if rng.random() < 0.5 else WAIT
-    env = AoiEnv(params, seed=0)
+    env = AoiEnv(EnvSpec(params=params), seed=0)
     out = env.step(action)
     # rate = 1/(1+0) = 1, empty bootstrap: the entry becomes the raw cost
     assert report.table.values[0, 1, action] == out.cost
@@ -341,7 +335,7 @@ def test_visit_count_rate_schedule_first_update():
 
 
 def test_greedy_policy_reads_learned_table():
-    report = train(AoiEnv(SystemParams(), seed=1), LearningParams(steps=30_000, a_max=32), seed=2)
+    report = train(AoiEnv(EnvSpec(), seed=1), LearningParams(steps=30_000, a_max=32), seed=2)
     policy = GreedyPolicy(report.table)
     # with a fresh sender packet and an old receiver picture, sending is the
     # only sane learned choice

@@ -5,6 +5,7 @@ import pytest
 from agelab import (
     AoiEnv,
     AoiiEnv,
+    EnvSpec,
     LearningParams,
     QuerySpec,
     RiskSpec,
@@ -112,14 +113,15 @@ def test_step_cost_weights_age_and_energy():
 def test_risky_predicates_use_inclusive_level():
     """A step landing at the safety level is risky, one below it is not."""
     # certain arrivals and deliveries: waiting grows the receiver age by one
-    env = AoiEnv(SystemParams(p=1.0, lam=1.0), zeta=5, seed=0)
+    env = AoiEnv(EnvSpec(params=SystemParams(p=1.0, lam=1.0), risk=RiskSpec(zeta=5)), seed=0)
     for age in range(2, 8):
         out = env.step(WAIT)
         assert out.next_state[1] == age
         assert out.risky == (age >= 5)
     # a source that always leaves a synced value and almost never returns
     source = SourceSpec(num_states=10**6, p_r=0.0)
-    env = AoiiEnv(SystemParams(p=1.0), source, zeta_aoii=3, seed=0)
+    spec = EnvSpec("aoii", SystemParams(p=1.0), RiskSpec(zeta_aoii=3), source=source)
+    env = AoiiEnv(spec, seed=0)
     for age in range(1, 6):
         out = env.step(WAIT)
         assert out.next_state == (False, age)
