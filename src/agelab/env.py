@@ -17,18 +17,24 @@ for aoii.
 
 That independence is what ``threshold_rollouts`` uses: it reads an
 ``EnvSpec`` and a seed, draws that seed's events once, a block at a time,
-and steps every threshold policy of a sweep over them without building an
-environment.  Each of its lanes equals ``run_policy`` of that threshold
-policy on ``spec.build(seed)``, bit for bit, because it sees the same events
-and adds up the same costs in the same order.
+and rolls every threshold policy of a sweep over them without building an
+environment.  Under a threshold policy the receiver age climbs by one each
+slot and resets only at a delivery (the mismatch age only at a resync), so
+each lane jumps through a block from one delivery or resync to the next
+through next-event tables built once per block, and fills in every slot's
+age, send and cost with array operations.  Each of its lanes equals
+``run_policy`` of that threshold policy on ``spec.build(seed)``, bit for bit,
+because it sees the same events and adds up the same costs in the same
+order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import TYPE_CHECKING, Final, Iterator, NamedTuple, Protocol, Sequence
 
+from .kernels import age_lanes, first_from, mismatch_lanes
 from .params import QuerySpec, RiskSpec, SourceSpec, SystemParams, step_cost
 
 if TYPE_CHECKING:
@@ -291,36 +297,12 @@ def run_policy(env: AoiEnv | AoiiEnv, policy: Policy, horizon: int) -> Trajector
     )
 
 
-def _age_lane(n, rx, cost_sum, risky, sends, txs, oks, asks, alpha, bn, zeta):
-    """One ThresholdPolicy(n) over a block; txs holds the sender age before each step."""
-    for tx, ok, asked in zip(txs, oks, asks):
-        if rx - tx >= n:
-            sends += 1
-            rx = tx + 1 if ok else rx + 1
-            age = rx if asked else 0
-            cost_sum += alpha * age + bn
-        else:
-            rx += 1
-            age = rx if asked else 0
-            cost_sum += alpha * age
-        if age >= zeta:
-            risky += 1
-    return rx, cost_sum, risky, sends
+def _index_dtype(horizon: int) -> type:
+    """The integer type of the kernels' slots and ages: int32 holds every
+    age, threshold and slot sum below a horizon of 2**30."""
+    import numpy as np
 
-
-def _mismatch_lane(theta, age, cost_sum, risky, sends, oks, keeps, returns, alpha, bn, zeta):
-    """One AoiiThresholdPolicy(theta) over a block; a state is synced exactly at age 0."""
-    for ok, keep, back in zip(oks, keeps, returns):
-        if age >= theta:
-            sends += 1
-            age = 0 if ok or (back if age else keep) else age + 1
-            cost_sum += alpha * age + bn
-        else:
-            age = 0 if (back if age else keep) else age + 1
-            cost_sum += alpha * age
-        if age >= zeta:
-            risky += 1
-    return age, cost_sum, risky, sends
+    return np.int32 if horizon < 2**30 else np.int64
 
 
 def threshold_rollouts(
@@ -331,48 +313,76 @@ def threshold_rollouts(
     Entry i equals ``run_policy`` of ``ThresholdPolicy(thresholds[i])`` (of
     ``AoiiThresholdPolicy`` for aoii) on ``spec.build(seed)``, bit for bit,
     but no env is built.  The events are drawn one block of ``BLOCK`` per
-    substream at a time and turned into booleans once, and every policy then
-    steps through them with its own state, cost sum and counts carried across
-    blocks, so memory does not grow with the horizon.
+    substream at a time and turned into booleans and next-event tables once
+    per block.  Each policy then jumps through the block from one delivery
+    to the next (aoi, qaoi) or from one loss of sync to the next (aoii), and
+    fills in the slots between with array operations (``kernels``), carrying
+    its state, cost sum and counts across blocks.  Its cost sum is a left
+    fold over the steps in order, as ``run_policy`` adds.  Every array is
+    allocated once, at ``BLOCK`` entries, so memory does not grow with the
+    horizon.
     """
     import numpy as np
 
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
+    aoii = spec.metric == "aoii"
+    for value in thresholds:
+        if aoii and value < 0:
+            raise ValueError(f"theta must be nonnegative, got {value}")
+        if not aoii and value < 1:
+            raise ValueError(f"threshold must be at least 1, got {value}")
     params = spec.params
     alpha, bn = params.alpha, params.beta * params.nu
     arrival_rng, channel_rng, query_rng, source_rng = _substreams(seed)
-    if spec.metric == "aoii":
-        zeta = spec.risk.zeta_aoii
-        lanes = [[theta, INITIAL_AOII[1], 0.0, 0, 0] for theta in thresholds]
-    else:
-        zeta = spec.risk.zeta
-        lanes = [[n, INITIAL_AOI[1], 0.0, 0, 0] for n in thresholds]
+    # an age never passes the horizon, so a larger threshold is never reached
+    initial = INITIAL_AOII[1] if aoii else INITIAL_AOI[1]
+    lanes = [[min(value, horizon + 1), initial, 0.0, 0, 0] for value in thresholds]
+    itype = _index_dtype(horizon)
+    slots = np.arange(BLOCK + 1, dtype=itype)
+    next_ok, first, second = (np.empty(BLOCK + 1, itype) for _ in range(3))
+    # a lane's two int arrays are dead by the time it adds its energy terms,
+    # so the float array for those shares their memory
+    pair = np.empty(2 * (BLOCK + 1), itype)
+    hop, buffer, energy = pair[: BLOCK + 1], pair[BLOCK + 1 :], pair.view(np.float64)[: BLOCK + 1]
+    flag = np.empty(BLOCK + 1, bool)
+    cost = np.empty(BLOCK + 1)
+    work = (slots, hop, buffer, flag, cost, energy)
+    zeta = spec.risk.zeta_aoii if aoii else spec.risk.zeta
     tx = INITIAL_AOI[0]
     for start in range(0, horizon, BLOCK):
         size = min(BLOCK, horizon - start)
-        oks = (channel_rng.random(size) < params.p).tolist()
-        if spec.metric == "aoii":
-            source = source_rng.random(size)
-            keeps = (source < spec.source.p_r).tolist()
-            returns = (source < spec.source.p_c).tolist()
-            for lane in lanes:
-                lane[1:] = _mismatch_lane(*lane, oks, keeps, returns, alpha, bn, zeta)
+        ok, early, late = next_ok[: size + 1], first[: size + 1], second[: size + 1]
+        # each block's uniforms are drawn into the cost buffer, which the
+        # lanes only write after every draw has been compared
+        draw, oks = cost[:size], flag[:size]
+        np.less(channel_rng.random(size, out=draw), params.p, out=oks)
+        first_from(ok, slots[:size], size, oks)
+        if aoii:
+            fails = draw >= params.p
+            moves = source_rng.random(size, out=draw) >= spec.source.p_r
+            first_from(late, slots[:size], size, moves)
+            np.less(draw, spec.source.p_c, out=oks)
+            first_from(early, slots[:size], size, oks)
+            stay = (moves, fails)
+            mismatch_lanes(lanes, size, ok, early, late, stay, work, alpha, bn, zeta)
         else:
-            # The sender age after step t is the number of steps since the
-            # last arrival; the age carried into the block counts as an
-            # arrival that many steps before it.
-            steps = np.arange(1, size + 1)
-            arrivals = arrival_rng.random(size) < params.lam
-            after = steps - np.maximum.accumulate(np.where(arrivals, steps, -tx))
-            txs = [tx, *after[:-1].tolist()]
-            tx = int(after[-1])
-            if spec.metric == "aoi":
-                asks = repeat(True)
-            else:
-                asks = (query_rng.random(size) < spec.query.q).tolist()
-            for lane in lanes:
-                lane[1:] = _age_lane(*lane, txs, oks, asks, alpha, bn, zeta)
+            # gen[s]: the slot the sender's packet before slot s was generated
+            # in; an arrival in slot a brings a packet of slot a + 1
+            arrivals = arrival_rng.random(size, out=draw) < params.lam
+            gen, fresh, steps = early, late, slots[1 : size + 1]
+            gen[0] = -tx
+            np.add(steps, tx, out=gen[1:])
+            np.multiply(gen[1:], arrivals, out=gen[1:])
+            np.add(gen[1:], -tx, out=gen[1:])
+            np.maximum.accumulate(gen, out=gen)
+            # fresh[v]: the first slot whose packet was generated in slot v
+            # or later; the packet before slot 0 was generated in slot -tx
+            first_from(fresh[1:], steps, size, arrivals)
+            fresh[0] = 0 if tx == 0 else fresh[1]
+            tx = size - int(gen[size])
+            asks = None if spec.metric == "aoi" else query_rng.random(size, out=draw) < spec.query.q
+            age_lanes(lanes, size, gen, fresh, ok, asks, work, alpha, bn, zeta)
     return [
         TrajectoryStats(
             steps=horizon,

@@ -197,9 +197,8 @@ def threshold_sweep(thresholds: list[int], config: ExperimentConfig) -> SweepRes
     if not thresholds:
         raise ValueError("thresholds must be a nonempty list")
     values = sorted(thresholds)
-    for value in values:
-        _threshold_policy(config.env, value)  # rejects an invalid threshold before any draw
 
+    # the first run's rollout rejects an invalid threshold before any draw
     def rollout(seed: np.random.SeedSequence, i: int) -> list[TrajectoryStats]:
         return threshold_rollouts(config.env, seed, values, config.test_steps)
 

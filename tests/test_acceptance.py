@@ -26,13 +26,13 @@ from agelab import (
     optimal_threshold,
     reach_probability,
     risky_frequency,
-    run_policy,
     start_age_weight,
     threshold_cost_aoi,
     threshold_cost_qaoi,
     threshold_sweep,
     train,
 )
+from agelab.env import threshold_rollouts
 from agelab.strategy import ThresholdPolicy
 from oracles import iterate_outcomes
 
@@ -84,9 +84,11 @@ def test_accept_1_closed_form_cost_matches_long_simulation(capsys):
         for p in (0.5, 0.9):
             params = SystemParams(p=p, lam=lam)
             for n in range(1, 9):
-                env = AoiEnv(EnvSpec(params=params, risk=RiskSpec(zeta=5)), seed=100 + index)
+                spec = EnvSpec(params=params, risk=RiskSpec(zeta=5))
+                # equal to run_policy(spec.build(seed), ThresholdPolicy(n), ...)
+                # bit for bit (tests/test_env.py), without stepping an env
+                stats = threshold_rollouts(spec, 100 + index, [n], 1_000_000)[0]
                 index += 1
-                stats = run_policy(env, ThresholdPolicy(n), 1_000_000)
                 exact = threshold_cost_aoi(n, params)
                 rel = abs(stats.avg_cost - exact) / exact
                 if rel > worst[0]:
@@ -109,7 +111,7 @@ def test_accept_2_optimal_thresholds_on_the_default_grid(capsys):
 def test_accept_3_age_frequencies_match_a_ten_million_step_run(capsys):
     steps = 10_000_000
     spec = EnvSpec(params=DEFAULTS, risk=RiskSpec(zeta=5))
-    stats = run_policy(AoiEnv(spec, seed=3), ThresholdPolicy(2), steps)
+    stats = threshold_rollouts(spec, 3, [2], steps)[0]
     # the same events again, counting how often each receiver age is visited
     visits = Counter(
         out.next_state[1]
