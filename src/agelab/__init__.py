@@ -45,7 +45,6 @@ from .experiments import (
     EnvSpec,
     ExperimentConfig,
     RunStats,
-    SweepResult,
     evaluate,
     learning_comparison,
     query_prob_sweep,

@@ -259,7 +259,13 @@ def _tail_sum(frequencies: Iterable[float], zeta: int, params: SystemParams) -> 
     # Far out the reach probabilities cancel down to rounding noise, and the
     # terms repeat one value instead of shrinking; the tail bound then never
     # falls below the tolerance of a small sum, so a repeated term ends it too.
-    ratio = 1.0 - params.lam * params.p
+    # Below lam * p = 2**-53 the bound's ratio rounds to 1 and bounds nothing.
+    lam_p = params.lam * params.p
+    if lam_p < 2.0**-53:
+        raise AnalyticInapplicableError(
+            f"risky frequency in closed form needs lambda*p >= 2**-53, got {lam_p:g}"
+        )
+    ratio = 1.0 - lam_p
     total = 0.0
     prev = None
     for k, term in enumerate(frequencies, zeta):

@@ -78,7 +78,8 @@ CONFIG_KEYS: tuple[tuple[str, type, str], ...] = (
     ("epsilon_min", float, "exploration floor"),
     ("learn_steps", int, "training steps"),
     ("test_steps", int, "evaluation steps per run"),
-    ("runs", int, "evaluation runs"),
+    ("runs", int, "evaluation runs; nothing caps them, and each keeps about 100 B "
+     "per strategy (per threshold in a sweep) until the experiment ends"),
     ("a_max", int, f"state clamp for learning (at most {A_MAX_LIMIT})"),
     ("seed", int, "base seed for all streams"),
     ("threshold", int, "send threshold n (or mismatch theta)"),
@@ -277,7 +278,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     sweep = threshold_sweep([threshold], config)
     rows = sweep_rows("simulate", sweep, config)
     print(format_summary(rows))
-    print(f"mean send rate {sweep.points[0].stats.mean_send_rate:.4f}")
+    print(f"mean send rate {sweep[threshold].mean_send_rate:.4f}")
     if args.out:
         emit_results(rows, args.out)
         print(f"wrote {args.out}")
@@ -315,11 +316,11 @@ def _sweep_figure(figure: str, metric: str, values: list[int]):
         emit_results(rows, out_dir / f"{figure}.csv")
         emit_plot_data(
             out_dir / f"{figure}_cost.dat",
-            [(p.value, p.stats.mean_cost, p.stats.std_cost) for p in sweep.points],
+            [(n, stats.mean_cost, stats.std_cost) for n, stats in sweep.items()],
         )
         emit_plot_data(
             out_dir / f"{figure}_risky.dat",
-            [(p.value, p.stats.mean_risky_freq, p.stats.std_risky_freq) for p in sweep.points],
+            [(n, stats.mean_risky_freq, stats.std_risky_freq) for n, stats in sweep.items()],
         )
         if metric == "aoii":
             return rows

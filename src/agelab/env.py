@@ -14,27 +14,14 @@ by the spec's metric, and each refuses a spec of the other kind.
 A state is a plain tuple: ``(tx, rx)``, the sender and receiver ages, for
 aoi and qaoi, and ``(synced, age)``, the mismatch flag and mismatch age,
 for aoii.
-
-That independence is what ``threshold_rollouts`` uses: it reads an
-``EnvSpec`` and a seed, draws that seed's events once, a block at a time,
-and rolls every threshold policy of a sweep over them without building an
-environment.  Under a threshold policy the receiver age climbs by one each
-slot and resets only at a delivery (the mismatch age only at a resync), so
-each lane jumps through a block from one delivery or resync to the next
-through next-event tables built once per block, and fills in every slot's
-age, send and cost with array operations.  Each of its lanes equals
-``run_policy`` of that threshold policy on ``spec.build(seed)``, bit for bit,
-because it sees the same events and adds up the same costs in the same
-order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Final, Iterator, NamedTuple, Protocol, Sequence
+from typing import TYPE_CHECKING, Final, Iterator, NamedTuple, Protocol
 
-from .kernels import age_lanes, first_from, mismatch_lanes
 from .params import QuerySpec, RiskSpec, SourceSpec, SystemParams, step_cost
 
 if TYPE_CHECKING:
@@ -52,7 +39,6 @@ __all__ = [
     "aoi_transition",
     "aoii_transition",
     "run_policy",
-    "threshold_rollouts",
 ]
 
 WAIT: Final[int] = 0
@@ -295,100 +281,3 @@ def run_policy(env: AoiEnv | AoiiEnv, policy: Policy, horizon: int) -> Trajector
         risky_freq=risky_count / horizon,
         send_count=send_count,
     )
-
-
-def _index_dtype(horizon: int) -> type:
-    """The integer type of the kernels' slots and ages: int32 holds every
-    age, threshold and slot sum below a horizon of 2**30."""
-    import numpy as np
-
-    return np.int32 if horizon < 2**30 else np.int64
-
-
-def threshold_rollouts(
-    spec: EnvSpec, seed: int | np.random.SeedSequence, thresholds: Sequence[int], horizon: int
-) -> list[TrajectoryStats]:
-    """Roll out one threshold policy per entry of ``thresholds`` on the events of ``seed``.
-
-    Entry i equals ``run_policy`` of ``ThresholdPolicy(thresholds[i])`` (of
-    ``AoiiThresholdPolicy`` for aoii) on ``spec.build(seed)``, bit for bit,
-    but no env is built.  The events are drawn one block of ``BLOCK`` per
-    substream at a time and turned into booleans and next-event tables once
-    per block.  Each policy then jumps through the block from one delivery
-    to the next (aoi, qaoi) or from one loss of sync to the next (aoii), and
-    fills in the slots between with array operations (``kernels``), carrying
-    its state, cost sum and counts across blocks.  Its cost sum is a left
-    fold over the steps in order, as ``run_policy`` adds.  Every array is
-    allocated once, at ``BLOCK`` entries, so memory does not grow with the
-    horizon.
-    """
-    import numpy as np
-
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
-    aoii = spec.metric == "aoii"
-    for value in thresholds:
-        if aoii and value < 0:
-            raise ValueError(f"theta must be nonnegative, got {value}")
-        if not aoii and value < 1:
-            raise ValueError(f"threshold must be at least 1, got {value}")
-    params = spec.params
-    alpha, bn = params.alpha, params.beta * params.nu
-    arrival_rng, channel_rng, query_rng, source_rng = _substreams(seed)
-    # an age never passes the horizon, so a larger threshold is never reached
-    initial = INITIAL_AOII[1] if aoii else INITIAL_AOI[1]
-    lanes = [[min(value, horizon + 1), initial, 0.0, 0, 0] for value in thresholds]
-    itype = _index_dtype(horizon)
-    slots = np.arange(BLOCK + 1, dtype=itype)
-    next_ok, first, second = (np.empty(BLOCK + 1, itype) for _ in range(3))
-    # a lane's two int arrays are dead by the time it adds its energy terms,
-    # so the float array for those shares their memory
-    pair = np.empty(2 * (BLOCK + 1), itype)
-    hop, buffer, energy = pair[: BLOCK + 1], pair[BLOCK + 1 :], pair.view(np.float64)[: BLOCK + 1]
-    flag = np.empty(BLOCK + 1, bool)
-    cost = np.empty(BLOCK + 1)
-    work = (slots, hop, buffer, flag, cost, energy)
-    zeta = spec.risk.zeta_aoii if aoii else spec.risk.zeta
-    tx = INITIAL_AOI[0]
-    for start in range(0, horizon, BLOCK):
-        size = min(BLOCK, horizon - start)
-        ok, early, late = next_ok[: size + 1], first[: size + 1], second[: size + 1]
-        # each block's uniforms are drawn into the cost buffer, which the
-        # lanes only write after every draw has been compared
-        draw, oks = cost[:size], flag[:size]
-        np.less(channel_rng.random(size, out=draw), params.p, out=oks)
-        first_from(ok, slots[:size], size, oks)
-        if aoii:
-            fails = draw >= params.p
-            moves = source_rng.random(size, out=draw) >= spec.source.p_r
-            first_from(late, slots[:size], size, moves)
-            np.less(draw, spec.source.p_c, out=oks)
-            first_from(early, slots[:size], size, oks)
-            stay = (moves, fails)
-            mismatch_lanes(lanes, size, ok, early, late, stay, work, alpha, bn, zeta)
-        else:
-            # gen[s]: the slot the sender's packet before slot s was generated
-            # in; an arrival in slot a brings a packet of slot a + 1
-            arrivals = arrival_rng.random(size, out=draw) < params.lam
-            gen, fresh, steps = early, late, slots[1 : size + 1]
-            gen[0] = -tx
-            np.add(steps, tx, out=gen[1:])
-            np.multiply(gen[1:], arrivals, out=gen[1:])
-            np.add(gen[1:], -tx, out=gen[1:])
-            np.maximum.accumulate(gen, out=gen)
-            # fresh[v]: the first slot whose packet was generated in slot v
-            # or later; the packet before slot 0 was generated in slot -tx
-            first_from(fresh[1:], steps, size, arrivals)
-            fresh[0] = 0 if tx == 0 else fresh[1]
-            tx = size - int(gen[size])
-            asks = None if spec.metric == "aoi" else query_rng.random(size, out=draw) < spec.query.q
-            age_lanes(lanes, size, gen, fresh, ok, asks, work, alpha, bn, zeta)
-    return [
-        TrajectoryStats(
-            steps=horizon,
-            avg_cost=cost_sum / horizon,
-            risky_freq=risky / horizon,
-            send_count=sends,
-        )
-        for _, _, cost_sum, risky, sends in lanes
-    ]

@@ -6,8 +6,9 @@ seeds are shared across strategies, so reported differences between
 strategies are paired rather than noise from different event sequences.
 ``evaluate`` runs one policy per seed through ``run_policy``, and
 ``threshold_sweep`` runs every threshold of a sweep on each seed's events at
-once through ``threshold_rollouts``, which gives the same numbers bit for
-bit; both reduce each finished run to the three floats ``RunStats`` keeps.
+once through ``kernels.threshold_rollouts``, which gives the same numbers
+bit for bit; both reduce each finished run to the three floats
+``RunStats`` keeps.
 An experiment reads every setting from its ``ExperimentConfig`` alone: the
 metric and system from ``config.env``, the training length from
 ``config.learning.steps`` and the run profile from the config itself; a
@@ -26,18 +27,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 from .analytic import optimal_threshold
-from .env import (
-    EnvSpec,
-    Policy,
-    TrajectoryStats,
-    _child,
-    _seed_sequence,
-    run_policy,
-    threshold_rollouts,
-)
+from .env import EnvSpec, Policy, TrajectoryStats, _child, _seed_sequence, run_policy
+from .kernels import threshold_rollouts
 from .learning import LearningParams, train
 from .params import QuerySpec
-from .strategy import AoiiThresholdPolicy, GreedyPolicy, RandomPolicy, ThresholdPolicy
+from .strategy import AoiiThresholdPolicy, GreedyPolicy, RandomPolicy, threshold_policy
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,8 +40,6 @@ __all__ = [
     "EnvSpec",
     "ExperimentConfig",
     "RunStats",
-    "SweepPoint",
-    "SweepResult",
     "ComparisonResult",
     "ResultRow",
     "evaluate",
@@ -166,49 +158,22 @@ def evaluate(policy: PolicyLike, config: ExperimentConfig) -> RunStats:
     return _fold_runs(rollout, 1, config)[0]
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    value: int
-    stats: RunStats
+def threshold_sweep(thresholds: list[int], config: ExperimentConfig) -> dict[int, RunStats]:
+    """Each distinct threshold's statistics, in ascending order, for the
+    threshold policies of ``config.env``'s metric on shared evaluation seeds.
 
-
-@dataclass(frozen=True)
-class SweepResult:
-    """Per-threshold statistics and the cheapest value."""
-
-    variable: str
-    points: tuple[SweepPoint, ...]
-    best_value: int
-
-
-def _threshold_policy(spec: EnvSpec, value: int) -> Policy:
-    if spec.metric == "aoii":
-        return AoiiThresholdPolicy(value)
-    return ThresholdPolicy(value)
-
-
-def threshold_sweep(thresholds: list[int], config: ExperimentConfig) -> SweepResult:
-    """Evaluate threshold policies of ``config.env``'s metric in ascending
-    order on shared evaluation seeds.
-
-    Each point equals ``evaluate`` of its threshold policy under the same
+    Each entry equals ``evaluate`` of its threshold policy under the same
     config; all thresholds are rolled out together on each run's events.
     """
     if not thresholds:
         raise ValueError("thresholds must be a nonempty list")
-    values = sorted(thresholds)
+    values = sorted(set(thresholds))
 
     # the first run's rollout rejects an invalid threshold before any draw
     def rollout(seed: np.random.SeedSequence, i: int) -> list[TrajectoryStats]:
         return threshold_rollouts(config.env, seed, values, config.test_steps)
 
-    stats = _fold_runs(rollout, len(values), config)
-    points = [SweepPoint(value, point) for value, point in zip(values, stats)]
-    return SweepResult(
-        variable="theta" if config.env.metric == "aoii" else "n",
-        points=tuple(points),
-        best_value=min(points, key=lambda p: p.stats.mean_cost).value,
-    )
+    return dict(zip(values, _fold_runs(rollout, len(values), config)))
 
 
 class ComparisonResult(Mapping[str, RunStats]):
@@ -255,9 +220,8 @@ def learning_comparison(config: ExperimentConfig) -> ComparisonResult:
     threshold = config.threshold
     if threshold is None and spec.metric == "aoii":
         sweep = threshold_sweep(list(range(0, 7)), config)
-        threshold = sweep.best_value
-        by_value = {point.value: point.stats for point in sweep.points}
-        known = {"threshold": by_value[threshold], "always_send": by_value[0]}
+        threshold = min(sweep, key=lambda theta: sweep[theta].mean_cost)
+        known = {"threshold": sweep[threshold], "always_send": sweep[0]}
     elif threshold is None:
         threshold = optimal_threshold(spec.params, q=spec.q)
 
@@ -272,7 +236,7 @@ def learning_comparison(config: ExperimentConfig) -> ComparisonResult:
     # can be evaluated one after another.
     strategies: dict[str, PolicyLike] = {
         "random": lambda i: RandomPolicy(spec.params.lam, np.random.default_rng(policy_seed(i))),
-        "threshold": _threshold_policy(spec, threshold),
+        "threshold": threshold_policy(spec.metric, threshold),
         "qlearn": learner(replace(config.learning, rho=1.0)),
         "qlearn_risk": learner(config.learning),
     }
@@ -360,12 +324,14 @@ def comparison_rows(
     ]
 
 
-def sweep_rows(experiment_id: str, sweep: SweepResult, config: ExperimentConfig) -> list[ResultRow]:
+def sweep_rows(
+    experiment_id: str, sweep: Mapping[int, RunStats], config: ExperimentConfig
+) -> list[ResultRow]:
+    """One row per threshold, labelled n= (theta= for aoii)."""
+    variable = "theta" if config.env.metric == "aoii" else "n"
     return [
-        ResultRow.from_stats(
-            experiment_id, "threshold", f"{sweep.variable}={point.value}", point.stats, config
-        )
-        for point in sweep.points
+        ResultRow.from_stats(experiment_id, "threshold", f"{variable}={value}", stats, config)
+        for value, stats in sweep.items()
     ]
 
 

@@ -1,12 +1,16 @@
-"""Block kernels of ``env.threshold_rollouts``: every threshold policy of a
-sweep stepped over one block of a seed's events at a time.
+"""The block simulator of threshold policies: ``threshold_rollouts`` rolls
+every threshold policy of a sweep over one seed's events at once.
 
-Under a threshold policy the receiver age climbs by one each slot and
-resets only at a delivery, and the mismatch age resets only at a resync.
-So a lane hops through a block from one delivery (aoii: one loss of sync)
-to the next through next-event tables built once per block, with one
-Python step per hop, and numpy fills in every slot's age, send, risky flag
-and cost in between.
+It draws the seed's events from the substreams ``spec.build(seed)`` would
+use, one block of ``BLOCK`` per substream at a time, and turns them into
+next-event tables once per block, shared by every threshold.  Under a
+threshold policy the receiver age climbs by one each slot and resets only
+at a delivery, and the mismatch age resets only at a resync.  So a lane
+hops through a block from one delivery (aoii: one loss of sync) to the
+next through those tables, with one Python step per hop, and numpy fills
+in every slot's age, send, risky flag and cost in between.  Each lane
+equals ``run_policy`` of its policy on ``spec.build(seed)`` bit for bit:
+it sees the same events and adds the same costs in the same order.
 
 Masked numpy writes branch on every element, so flags select by
 multiplication instead.  Ages are compared as float64 copies, exact for
@@ -18,10 +22,18 @@ numpy only inside the functions that use it.
 
 from __future__ import annotations
 
-__all__ = ["first_from", "age_lanes", "mismatch_lanes"]
+from typing import TYPE_CHECKING, Sequence
+
+from .env import BLOCK, INITIAL_AOI, INITIAL_AOII, EnvSpec, TrajectoryStats, _substreams
+from .strategy import threshold_policy
+
+if TYPE_CHECKING:
+    import numpy as np
+
+__all__ = ["threshold_rollouts"]
 
 
-def first_from(out, values, size, *flags):
+def _first_from(out, values, size, *flags):
     """Fill ``out[i]``, i in [0, len(out)), with the least ``values[s]`` over
     slots s >= i set in every one of ``flags``, or ``size`` where there is
     no such slot.
@@ -71,7 +83,7 @@ def _fold_costs(cost, energy, sent, alpha, bn, cost_sum):
     return float(cost[-1])
 
 
-def age_lanes(lanes, size, gen, fresh, next_ok, asks, work, alpha, bn, zeta):
+def _age_lanes(lanes, size, gen, fresh, next_ok, asks, work, alpha, bn, zeta):
     """Step every ThresholdPolicy(n) lane ``[n, rx, cost_sum, risky, sends]``
     over one block of ``size`` slots, with Python work once per delivery.
 
@@ -129,7 +141,7 @@ def age_lanes(lanes, size, gen, fresh, next_ok, asks, work, alpha, bn, zeta):
         lane[1:] = rx, _fold_costs(cost, energy, marks, alpha, bn, cost_sum), risky, sends
 
 
-def mismatch_lanes(lanes, size, next_ok, back, leave, stay, work, alpha, bn, zeta):
+def _mismatch_lanes(lanes, size, next_ok, back, leave, stay, work, alpha, bn, zeta):
     """Step every AoiiThresholdPolicy(theta) lane ``[theta, age, cost_sum,
     risky, sends]`` over one block of ``size`` slots, with Python work once
     per loss of sync.
@@ -161,7 +173,7 @@ def mismatch_lanes(lanes, size, next_ok, back, leave, stay, work, alpha, bn, zet
     for lane in lanes:
         theta, age, cost_sum, risky, sends = lane
         if theta == 0:
-            first_from(ages, before, size, *stay)
+            _first_from(ages, before, size, *stay)
             leaves = ages
         else:
             leaves = leave
@@ -209,3 +221,91 @@ def mismatch_lanes(lanes, size, next_ok, back, leave, stay, work, alpha, bn, zet
         sends += int(np.count_nonzero(np.greater_equal(cost[:size], theta, out=marks)))
         age = int(cost[size])
         lane[1:] = age, _fold_costs(cost, energy, marks, alpha, bn, cost_sum), risky, sends
+
+
+def _index_dtype(horizon: int) -> type:
+    """The integer type of the kernels' slots and ages: int32 holds every
+    age, threshold and slot sum below a horizon of 2**30."""
+    import numpy as np
+
+    return np.int32 if horizon < 2**30 else np.int64
+
+
+def threshold_rollouts(
+    spec: EnvSpec, seed: int | np.random.SeedSequence, thresholds: Sequence[int], horizon: int
+) -> list[TrajectoryStats]:
+    """Roll out one threshold policy per entry of ``thresholds`` on the events of ``seed``.
+
+    Entry i equals ``run_policy`` of ``threshold_policy(spec.metric,
+    thresholds[i])`` on ``spec.build(seed)``, bit for bit, but no env is
+    built.  Each lane carries its state, cost sum and counts across blocks.
+    Every array is allocated once, at ``BLOCK`` entries, so memory does not
+    grow with the horizon.
+    """
+    import numpy as np
+
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    for value in thresholds:
+        threshold_policy(spec.metric, value)  # refuses what the policy refuses
+    aoii = spec.metric == "aoii"
+    params = spec.params
+    alpha, bn = params.alpha, params.beta * params.nu
+    arrival_rng, channel_rng, query_rng, source_rng = _substreams(seed)
+    # an age never passes the horizon, so a larger threshold is never reached
+    initial = INITIAL_AOII[1] if aoii else INITIAL_AOI[1]
+    lanes = [[min(value, horizon + 1), initial, 0.0, 0, 0] for value in thresholds]
+    itype = _index_dtype(horizon)
+    slots = np.arange(BLOCK + 1, dtype=itype)
+    next_ok, first, second = (np.empty(BLOCK + 1, itype) for _ in range(3))
+    # a lane's two int arrays are dead by the time it adds its energy terms,
+    # so the float array for those shares their memory
+    pair = np.empty(2 * (BLOCK + 1), itype)
+    hop, buffer, energy = pair[: BLOCK + 1], pair[BLOCK + 1 :], pair.view(np.float64)[: BLOCK + 1]
+    flag = np.empty(BLOCK + 1, bool)
+    cost = np.empty(BLOCK + 1)
+    work = (slots, hop, buffer, flag, cost, energy)
+    zeta = spec.risk.zeta_aoii if aoii else spec.risk.zeta
+    tx = INITIAL_AOI[0]
+    for start in range(0, horizon, BLOCK):
+        size = min(BLOCK, horizon - start)
+        ok, early, late = next_ok[: size + 1], first[: size + 1], second[: size + 1]
+        # each block's uniforms are drawn into the cost buffer, which the
+        # lanes only write after every draw has been compared
+        draw, oks = cost[:size], flag[:size]
+        np.less(channel_rng.random(size, out=draw), params.p, out=oks)
+        _first_from(ok, slots[:size], size, oks)
+        if aoii:
+            fails = draw >= params.p
+            moves = source_rng.random(size, out=draw) >= spec.source.p_r
+            _first_from(late, slots[:size], size, moves)
+            np.less(draw, spec.source.p_c, out=oks)
+            _first_from(early, slots[:size], size, oks)
+            stay = (moves, fails)
+            _mismatch_lanes(lanes, size, ok, early, late, stay, work, alpha, bn, zeta)
+        else:
+            # gen[s]: the slot the sender's packet before slot s was generated
+            # in; an arrival in slot a brings a packet of slot a + 1
+            arrivals = arrival_rng.random(size, out=draw) < params.lam
+            gen, fresh, steps = early, late, slots[1 : size + 1]
+            gen[0] = -tx
+            np.add(steps, tx, out=gen[1:])
+            np.multiply(gen[1:], arrivals, out=gen[1:])
+            np.add(gen[1:], -tx, out=gen[1:])
+            np.maximum.accumulate(gen, out=gen)
+            # fresh[v]: the first slot whose packet was generated in slot v
+            # or later; the packet before slot 0 was generated in slot -tx
+            _first_from(fresh[1:], steps, size, arrivals)
+            fresh[0] = 0 if tx == 0 else fresh[1]
+            tx = size - int(gen[size])
+            asks = None if spec.metric == "aoi" else query_rng.random(size, out=draw) < spec.query.q
+            _age_lanes(lanes, size, gen, fresh, ok, asks, work, alpha, bn, zeta)
+    return [
+        TrajectoryStats(
+            steps=horizon,
+            avg_cost=cost_sum / horizon,
+            risky_freq=risky / horizon,
+            send_count=sends,
+        )
+        for _, _, cost_sum, risky, sends in lanes
+    ]

@@ -12,6 +12,7 @@ if TYPE_CHECKING:
 __all__ = [
     "ThresholdPolicy",
     "AoiiThresholdPolicy",
+    "threshold_policy",
     "RandomPolicy",
     "GreedyPolicy",
 ]
@@ -49,6 +50,11 @@ class AoiiThresholdPolicy:
 
     def decide(self, state: tuple[bool, int]) -> int:
         return SEND if state[1] >= self.theta else WAIT
+
+
+def threshold_policy(metric: str, value: int) -> ThresholdPolicy | AoiiThresholdPolicy:
+    """The threshold policy of ``metric``: theta = value for aoii, n = value otherwise."""
+    return AoiiThresholdPolicy(value) if metric == "aoii" else ThresholdPolicy(value)
 
 
 class RandomPolicy:

@@ -32,7 +32,7 @@ from agelab import (
     threshold_sweep,
     train,
 )
-from agelab.env import threshold_rollouts
+from agelab.kernels import threshold_rollouts
 from agelab.strategy import ThresholdPolicy
 from oracles import iterate_outcomes
 
@@ -143,10 +143,11 @@ def test_accept_3_age_frequencies_match_a_ten_million_step_run(capsys):
 def test_accept_4_mismatch_sweep_selects_threshold_one(capsys):
     config = ExperimentConfig(env=EnvSpec("aoii"), test_steps=10_000, runs=20, base_seed=1)
     sweep = threshold_sweep(list(range(0, 7)), config)
-    costs = {point.value: round(point.stats.mean_cost, 4) for point in sweep.points}
-    ok = sweep.best_value == 1
-    announce(capsys, 4, ok, f"best theta={sweep.best_value}, sweep costs {costs}")
-    assert sweep.best_value == 1
+    costs = {theta: round(stats.mean_cost, 4) for theta, stats in sweep.items()}
+    best = min(sweep, key=lambda theta: sweep[theta].mean_cost)
+    ok = best == 1
+    announce(capsys, 4, ok, f"best theta={best}, sweep costs {costs}")
+    assert best == 1
 
 
 def test_accept_5_short_training_risk_profile(compare_aoi_short, capsys):

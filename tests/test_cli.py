@@ -245,10 +245,16 @@ NUMPY_CALL_DIGESTS = {
         "7faa69a675be0d227ceb8df4b93a3b4398594cc17d6d8a28dcc1f0f7f01150fb",
     ("reproduce", "fig3a", "--runs", "2", "--test-steps", "400", "--seed", "1"):
         "589104508c07ad41b8e5e7b37b4cd5a331a41b845cb7c7e4bebc7e610deefcab",
+    ("reproduce", "fig3c", "--runs", "2", "--test-steps", "400", "--seed", "1"):
+        "de51d7588953d3897c1f2e305b520473ac823cf1d9e95c8acf023222faf14bc8",
+    ("reproduce", "fig3d", "--runs", "2", "--test-steps", "400", "--seed", "1"):
+        "ede0d850eecd49c179c4260210d7d4ea7d7349076ae7ca99bf2e9c4a3b3a022e",
 }
 
 
-@pytest.mark.parametrize("argv", list(NUMPY_CALL_DIGESTS), ids=["simulate", "train", "fig3a"])
+@pytest.mark.parametrize(
+    "argv", list(NUMPY_CALL_DIGESTS), ids=["simulate", "train", "fig3a", "fig3c", "fig3d"]
+)
 def test_simulation_outputs_are_pinned(argv, tmp_path, capsys, monkeypatch):
     code, out, err, files = _call_in_this_process(list(argv), tmp_path / "run", capsys, monkeypatch)
     digest = hashlib.sha256(f"{code}\n{out}\n{err}\n".encode())
@@ -404,6 +410,25 @@ def test_optimize_infeasible_budget_exits_two(capsys):
     code, _, err = run_cli(["optimize", "--risk-budget", "0.05"], capsys)
     assert code == 2
     assert err.startswith("infeasible:")
+
+
+# Below lambda * p = 2**-53 the risky closed form's tail bound rounds to 1.
+
+
+def test_optimize_on_a_very_slow_channel_skips_the_risky_line(capsys):
+    code, out, err = run_cli(["optimize", "--p", "1e-100"], capsys)
+    assert (code, err) == (0, "")
+    assert out == "optimal threshold: 1\naverage cost     9.999999999990905e+99\n"
+
+
+@pytest.mark.parametrize("argv, product", [
+    (["analytic", "--threshold", "1", "--p", "1e-16"], "5e-17"),
+    (["optimize", "--lambda", "1e-17", "--risk-budget", "0.5"], "9e-18"),
+])
+def test_risky_closed_form_refuses_a_very_slow_channel(capsys, argv, product):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: risky frequency in closed form needs lambda*p >= 2**-53, got {product}\n"
 
 
 # simulate

@@ -20,7 +20,7 @@ from agelab import (
     SystemParams,
     run_policy,
 )
-from agelab import env as env_module
+from agelab import env as env_module, kernels
 from agelab.env import (
     BLOCK,
     INITIAL_AOI,
@@ -31,9 +31,9 @@ from agelab.env import (
     _child,
     aoi_transition,
     aoii_transition,
-    threshold_rollouts,
     uniform_stream,
 )
+from agelab.kernels import threshold_rollouts
 from agelab.strategy import AoiiThresholdPolicy, RandomPolicy, ThresholdPolicy
 
 import numpy as np
@@ -393,7 +393,7 @@ def test_threshold_rollouts_of_one_step(metric):
 @pytest.mark.parametrize("metric", METRICS)
 def test_threshold_rollouts_in_int64(metric, monkeypatch):
     """Past a horizon of 2**30 the kernels keep slots and ages in int64."""
-    monkeypatch.setattr(env_module, "_index_dtype", lambda horizon: np.int64)
+    monkeypatch.setattr(kernels, "_index_dtype", lambda horizon: np.int64)
     thresholds = [0, 1, 4] if metric == "aoii" else [1, 2, 5]
     assert_lanes_equal_run_policy(EnvSpec(metric), 10, thresholds, 2 * BLOCK + 5)
 
@@ -489,9 +489,9 @@ def test_threshold_rollouts_hold_one_block_of_draws(monkeypatch, metric, substre
             requested.append(size)
             return self.rng.random(size, out=out)
 
-    derive = env_module._substreams
+    derive = kernels._substreams
     monkeypatch.setattr(
-        env_module, "_substreams", lambda seed: [Recording(rng) for rng in derive(seed)]
+        kernels, "_substreams", lambda seed: [Recording(rng) for rng in derive(seed)]
     )
     horizon = 3 * BLOCK + 5
     threshold_rollouts(EnvSpec(metric), 8, [1, 2, 3], horizon)

@@ -19,7 +19,7 @@ from agelab import (
     optimal_threshold,
     threshold_sweep,
 )
-from agelab import env as env_module
+from agelab import kernels
 from agelab.cli import main
 from agelab.experiments import (
     CSV_COLUMNS,
@@ -147,19 +147,22 @@ def test_evaluate_policy_factory_gets_per_run_seeds():
 
 def test_threshold_sweep_structure():
     sweep = threshold_sweep([3, 1, 2], FAST)
-    assert sweep.variable == "n"
-    assert [point.value for point in sweep.points] == [1, 2, 3]
-    assert sweep.best_value == 2
-    for point in sweep.points:
+    assert list(sweep) == [1, 2, 3]
+    assert min(sweep, key=lambda n: sweep[n].mean_cost) == 2
+    assert [row.param for row in sweep_rows("s", sweep, FAST)] == ["n=1", "n=2", "n=3"]
+    for n, stats in sweep.items():
         # the closed-form cost that the fig3a preset overlays on the measured one
-        overlay = cost_breakdown(point.value, FAST.env.params).total
-        assert point.stats.mean_cost == pytest.approx(overlay, rel=0.1)
+        overlay = cost_breakdown(n, FAST.env.params).total
+        assert stats.mean_cost == pytest.approx(overlay, rel=0.1)
+
+
+def test_threshold_sweep_keeps_one_entry_per_threshold():
+    assert list(threshold_sweep([2, 1, 2], FAST)) == [1, 2]
 
 
 def test_threshold_sweep_mismatch_metric_has_no_overlay(tmp_path):
     sweep = threshold_sweep([0, 1, 2], with_metric(FAST, "aoii"))
-    assert sweep.variable == "theta"
-    assert [point.value for point in sweep.points] == [0, 1, 2]
+    assert list(sweep) == [0, 1, 2]
     # the mismatch metric has no closed form, so its preset writes no overlay
     assert main(["reproduce", "fig3d", "--runs", "1", "--test-steps", "50",
                  "--out-dir", str(tmp_path)]) == 0
@@ -181,7 +184,7 @@ def test_threshold_sweep_validates_thresholds_before_any_draw(monkeypatch, metri
     def no_draws(seed):
         raise AssertionError("events were drawn")
 
-    monkeypatch.setattr(env_module, "_substreams", no_draws)
+    monkeypatch.setattr(kernels, "_substreams", no_draws)
     with pytest.raises(ValueError, match=message):
         threshold_sweep(values, with_metric(FAST, metric))
 
@@ -191,13 +194,13 @@ def test_threshold_sweep_derives_each_run_substreams_once(monkeypatch, metric):
     """A sweep run draws its events from one set of substreams; no
     environment is built beside it."""
     derived = []
-    derive = env_module._substreams
+    derive = kernels._substreams
 
     def counted(seed):
         derived.append(seed)
         return derive(seed)
 
-    monkeypatch.setattr(env_module, "_substreams", counted)
+    monkeypatch.setattr(kernels, "_substreams", counted)
     threshold_sweep([1, 2], with_metric(FAST, metric))
     assert len(derived) == FAST.runs
 
@@ -233,9 +236,9 @@ def test_memory_grows_by_three_floats_per_run(experiment):
 def test_threshold_sweep_points_equal_evaluate(metric, values):
     config = with_metric(FAST, metric)
     sweep = threshold_sweep(values, config)
-    for point in sweep.points:
-        policy = AoiiThresholdPolicy(point.value) if metric == "aoii" else ThresholdPolicy(point.value)
-        assert point.stats == evaluate(policy, config)
+    for value, stats in sweep.items():
+        policy = AoiiThresholdPolicy(value) if metric == "aoii" else ThresholdPolicy(value)
+        assert stats == evaluate(policy, config)
 
 
 def test_learning_comparison_structure_and_pairing():
