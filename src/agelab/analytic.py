@@ -5,9 +5,14 @@ a period opens at some age r, the sender waits until sending is worthwhile,
 then attempts until one delivery succeeds.  Averaging the weighted age and
 energy over one period gives exact long-run costs and age frequencies for
 the policy that sends when the age gain is at least n, without simulation.
+The policy-level forms read an ``EnvSpec``: the system from ``spec.params``,
+the risky level from ``spec.risk.zeta`` and the query gate from ``spec.q``.
+They cover aoi and qaoi, and refuse an aoii spec.
 All series here have geometric tails, so truncation to a relative tolerance
 is exact for practical purposes; the deterministic limits lam = 1 or p = 1
-terminate the series outright.
+terminate the series outright.  On slow channels the tails grow long, so a
+series whose length, counted from (p, lam) before it runs, exceeds a fixed
+budget is refused instead.
 
 The age frequencies behind the risky-state frequency share one table of
 opening weights and reach probabilities per parameter point, grown as the
@@ -19,13 +24,17 @@ tests/oracles.py) float for float, and the tests compare them with ==.
 
 from __future__ import annotations
 
+import math
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from operator import mul
 
-from .params import SystemParams
+from .env import EnvSpec
+from .params import QuerySpec, SystemParams
 
 __all__ = [
+    "N_MAX",
     "CostBreakdown",
     "AnalyticResult",
     "AnalyticInapplicableError",
@@ -44,6 +53,10 @@ __all__ = [
     "optimal_threshold",
     "risk_constrained_threshold",
 ]
+
+
+# the largest threshold the optimizers search by default
+N_MAX = 64
 
 
 class AnalyticInapplicableError(ValueError):
@@ -66,11 +79,33 @@ class InfeasibleRiskBudgetError(ValueError):
 # of the accumulated sum, but never before _MIN_TERMS terms past the threshold.
 _TAIL_TOL = 1e-12
 _MIN_TERMS = 10
+# Terms that shrink by a factor d per term fall by a factor f within about
+# log(f) / log(d) terms; where p is close to lam the risky sum runs up to
+# about 1.3 times that.  A series counted past _MAX_TERMS is refused before
+# it runs.  The longest point kept with p, lam >= 1e-3 is the risky sum at
+# p = lam = 1e-3, counted at about 41,000 terms: over a minute of O(K^2) work.
+_MAX_TERMS = 50_000
 
 
 def _check_threshold(n: int) -> None:
     if n < 1:
         raise ValueError(f"threshold must be at least 1, got {n}")
+
+
+def _check_metric(spec: EnvSpec) -> None:
+    if spec.metric == "aoii":
+        raise AnalyticInapplicableError(
+            "no closed form for the mismatch metric; use simulate instead"
+        )
+
+
+def _check_length(series: str, log_decay: float, fall: float, params: SystemParams) -> None:
+    terms = math.log(fall) / log_decay
+    if terms > _MAX_TERMS:
+        raise AnalyticInapplicableError(
+            f"the {series} series needs about {terms:.3g} terms at p={params.p:g}, "
+            f"lambda={params.lam:g}, more than the {_MAX_TERMS} allowed"
+        )
 
 
 def start_age_weight(r: int, params: SystemParams) -> float:
@@ -136,15 +171,25 @@ class CostBreakdown:
         return self.age_cost + self.energy_cost
 
 
-def cost_breakdown(n: int, params: SystemParams, q: float = 1.0) -> CostBreakdown:
+def cost_breakdown(n: int, spec: EnvSpec) -> CostBreakdown:
     """Average age and energy cost per step under threshold n.
 
-    The age component is scaled by the query probability q while the
-    energy component is not; q = 1 is the plain age.  The per-opening-age
-    series is truncated once its bounded geometric tail is negligible.
+    The age component is scaled by the spec's query probability while the
+    energy component is not.  The per-opening-age series, whose terms
+    shrink by g = (1 - lam)(1 - p) each, is truncated once its bounded
+    geometric tail is negligible.
     """
+    _check_metric(spec)
     _check_threshold(n)
-    _check_q(q)
+    params = spec.params
+    lam, p = params.lam, params.p
+    if min(lam, p) ** 2 < sys.float_info.min:
+        raise AnalyticInapplicableError(
+            f"the closed-form cost needs p**2 and lambda**2 in the float range, "
+            f"got p={p:g}, lambda={lam:g}"
+        )
+    if max(lam, p) < 1.0:  # else g = 0 and the series ends at once
+        _check_length("cost", math.log1p(-lam) + math.log1p(-p), _TAIL_TOL, params)
     length = mean_period_length(n, params)
     a_n = period_age_sum(n, params)
     total = 0.0
@@ -162,19 +207,19 @@ def cost_breakdown(n: int, params: SystemParams, q: float = 1.0) -> CostBreakdow
         if r > n + _MIN_TERMS and term < _TAIL_TOL * total:
             break
         r += 1
-    age_cost = params.alpha * total / length * q
+    age_cost = params.alpha * total / length * spec.q
     energy_cost = params.beta * params.nu / (params.p * length)
     return CostBreakdown(age_cost, energy_cost, length, attempts_per_period(params), terms)
 
 
 def threshold_cost_aoi(n: int, params: SystemParams) -> float:
     """Long-run average cost per step of the threshold-n policy."""
-    return cost_breakdown(n, params).total
+    return cost_breakdown(n, EnvSpec("aoi", params)).total
 
 
 def threshold_cost_qaoi(n: int, params: SystemParams, q: float) -> float:
     """Query-gated average cost; q = 1 reproduces the ungated cost bit for bit."""
-    return cost_breakdown(n, params, q=q).total
+    return cost_breakdown(n, EnvSpec("qaoi", params, query=QuerySpec(q))).total
 
 
 def _check_band(k: int, n: int) -> None:
@@ -183,11 +228,6 @@ def _check_band(k: int, n: int) -> None:
         raise AnalyticInapplicableError(
             f"age frequencies are only available above the threshold (k={k}, n={n})"
         )
-
-
-def _check_q(q: float) -> None:
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
 
 
 class _TailTables:
@@ -265,6 +305,11 @@ def _tail_sum(frequencies: Iterable[float], zeta: int, params: SystemParams) -> 
         raise AnalyticInapplicableError(
             f"risky frequency in closed form needs lambda*p >= 2**-53, got {lam_p:g}"
         )
+    # Far out the terms shrink by 1 - min(lam, p) per age: the slower of
+    # the arrival and the delivery is still to come.
+    slower = min(params.lam, params.p)
+    if slower < 1.0:
+        _check_length("risky", math.log1p(-slower), _TAIL_TOL * lam_p, params)
     ratio = 1.0 - lam_p
     total = 0.0
     prev = None
@@ -307,21 +352,23 @@ def age_frequency(k: int, n: int, params: SystemParams) -> float:
     return next(_age_frequencies(n, params, k))
 
 
-def risky_frequency(n: int, zeta: int, params: SystemParams, q: float = 1.0) -> float:
+def risky_frequency(n: int, spec: EnvSpec) -> float:
     """Long-run fraction of (query) steps at receiver age >= zeta under threshold n.
 
-    Only defined for zeta above the threshold; otherwise the closed form
-    does not apply and the simulation estimator must be used instead.
-    Counting query steps only scales the plain (q = 1) value by q.
+    Only defined for the spec's zeta above the threshold; otherwise the
+    closed form does not apply and the simulation estimator must be used
+    instead.  Counting query steps only scales the plain value by q.
     """
+    _check_metric(spec)
     _check_threshold(n)
+    zeta = spec.risk.zeta
     if zeta <= n:
         raise AnalyticInapplicableError(
             f"risky frequency in closed form needs zeta > n (zeta={zeta}, n={n}); "
             "use the simulation estimator instead"
         )
-    _check_q(q)
-    return _tail_sum(_age_frequencies(n, params, zeta), zeta, params) * q
+    params = spec.params
+    return _tail_sum(_age_frequencies(n, params, zeta), zeta, params) * spec.q
 
 
 @dataclass(frozen=True)
@@ -334,25 +381,19 @@ class AnalyticResult:
     risky_freq: float
 
 
-def evaluate_threshold(
-    n: int,
-    params: SystemParams,
-    zeta: int,
-    q: float = 1.0,
-    k_max: int | None = None,
-) -> AnalyticResult:
+def evaluate_threshold(n: int, spec: EnvSpec, k_max: int | None = None) -> AnalyticResult:
     """Bundle cost, period statistics and age frequencies for one threshold."""
-    breakdown = cost_breakdown(n, params, q=q)
+    breakdown = cost_breakdown(n, spec)
     if k_max is None:
-        k_max = max(n + 8, zeta + 4)
+        k_max = max(n + 8, spec.risk.zeta + 4)
     ages = range(n + 1, k_max + 1)
-    freq = {k: q * f for k, f in zip(ages, _age_frequencies(n, params, n + 1))}
-    risky = risky_frequency(n, zeta, params, q=q)
+    freq = {k: spec.q * f for k, f in zip(ages, _age_frequencies(n, spec.params, n + 1))}
+    risky = risky_frequency(n, spec)
     return AnalyticResult(threshold=n, breakdown=breakdown, freq=freq, risky_freq=risky)
 
 
-def optimal_threshold(params: SystemParams, n_max: int = 64, q: float = 1.0) -> int:
-    """Cost-minimizing send threshold under query probability q (1 = plain age).
+def optimal_threshold(spec: EnvSpec, n_max: int = N_MAX) -> int:
+    """Cost-minimizing send threshold of the spec's metric.
 
     Scans upward and stops after the cost has risen twice in a row; the
     cost curve is unimodal in n over the supported parameter space.  Ties
@@ -361,11 +402,11 @@ def optimal_threshold(params: SystemParams, n_max: int = 64, q: float = 1.0) -> 
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     best_n = 1
-    best_cost = cost_breakdown(1, params, q=q).total
+    best_cost = cost_breakdown(1, spec).total
     prev = best_cost
     rises = 0
     for n in range(2, n_max + 1):
-        value = cost_breakdown(n, params, q=q).total
+        value = cost_breakdown(n, spec).total
         if value < best_cost:
             best_n, best_cost = n, value
         rises = rises + 1 if value > prev else 0
@@ -375,28 +416,23 @@ def optimal_threshold(params: SystemParams, n_max: int = 64, q: float = 1.0) -> 
     return best_n
 
 
-def risk_constrained_threshold(
-    budget: float,
-    zeta: int,
-    params: SystemParams,
-    n_max: int = 64,
-    q: float = 1.0,
-) -> int:
+def risk_constrained_threshold(budget: float, spec: EnvSpec, n_max: int = N_MAX) -> int:
     """Cheapest threshold whose risky-state frequency stays within the budget.
 
-    Only thresholds below zeta are admissible, because the closed-form risk
-    is undefined otherwise.  When even the most cautious threshold exceeds
-    the budget an explicit infeasibility error reports the minimum
-    achievable risk.
+    Only thresholds below the spec's zeta are admissible, because the
+    closed-form risk is undefined otherwise.  When even the most cautious
+    threshold exceeds the budget an explicit infeasibility error reports
+    the minimum achievable risk.
     """
+    _check_metric(spec)
     if not budget >= 0.0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
+    params, zeta, q = spec.params, spec.risk.zeta, spec.q
     candidates = range(1, min(n_max, zeta - 1) + 1)
     if not candidates:
         raise AnalyticInapplicableError(
             f"no admissible threshold below zeta={zeta} with n_max={n_max}"
         )
-    _check_q(q)
     # opening weights and reach probabilities do not depend on the threshold
     tables = _TailTables(params)
     risks = {
@@ -406,4 +442,4 @@ def risk_constrained_threshold(
     feasible = [n for n in candidates if risks[n] <= budget]
     if not feasible:
         raise InfeasibleRiskBudgetError(budget, min(risks.values()))
-    return min(feasible, key=lambda n: cost_breakdown(n, params, q=q).total)
+    return min(feasible, key=lambda n: cost_breakdown(n, spec).total)

@@ -18,6 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .analytic import (
+    N_MAX,
     AnalyticInapplicableError,
     InfeasibleRiskBudgetError,
     cost_breakdown,
@@ -25,7 +26,6 @@ from .analytic import (
     optimal_threshold,
     risk_constrained_threshold,
     risky_frequency,
-    threshold_cost_qaoi,
 )
 from .env import _child, _seed_sequence
 from .experiments import (
@@ -192,7 +192,7 @@ def build_parser() -> _Parser:
         help="largest allowed frequency of ages >= zeta; exit 2 if no threshold meets it",
     )
     optimize.add_argument(
-        "--n-max", dest="n_max", type=int, default=64,
+        "--n-max", dest="n_max", type=int, default=N_MAX,
         help="largest threshold searched (default %(default)s)",
     )
     optimize.set_defaults(func=cmd_optimize)
@@ -221,13 +221,9 @@ def build_parser() -> _Parser:
 def cmd_analytic(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     spec = config.env
-    if spec.metric == "aoii":
-        raise UsageError("no closed form for the mismatch metric; use simulate instead")
     if config.threshold is None:
         raise UsageError("analytic needs --threshold")
-    result = evaluate_threshold(
-        config.threshold, spec.params, spec.risk.zeta, q=spec.q, k_max=args.k_max
-    )
+    result = evaluate_threshold(config.threshold, spec, k_max=args.k_max)
     breakdown = result.breakdown
     label = f"{spec.metric} threshold {config.threshold}"
     if spec.metric == "qaoi":
@@ -247,21 +243,16 @@ def cmd_analytic(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     spec = resolve_config(args).env
-    if spec.metric == "aoii":
-        raise UsageError("no closed form for the mismatch metric; sweep with simulate instead")
-    q = spec.q
     budget = args.risk_budget
     if budget is None:
-        best = optimal_threshold(spec.params, n_max=args.n_max, q=q)
+        best = optimal_threshold(spec, n_max=args.n_max)
         print(f"optimal threshold: {best}")
     else:
-        best = risk_constrained_threshold(
-            budget, spec.risk.zeta, spec.params, n_max=args.n_max, q=q
-        )
+        best = risk_constrained_threshold(budget, spec, n_max=args.n_max)
         print(f"optimal threshold under risk budget {budget:g}: {best}")
-    print(f"average cost     {cost_breakdown(best, spec.params, q=q).total!r}")
+    print(f"average cost     {cost_breakdown(best, spec).total!r}")
     try:
-        risk = risky_frequency(best, spec.risk.zeta, spec.params, q=q)
+        risk = risky_frequency(best, spec)
         print(f"risky frequency  {risk!r}")
     except AnalyticInapplicableError:
         pass
@@ -274,7 +265,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if threshold is None:
         if config.env.metric == "aoii":
             raise UsageError("simulate needs --threshold for the aoii metric")
-        threshold = optimal_threshold(config.env.params, q=config.env.q)
+        threshold = optimal_threshold(config.env)
     sweep = threshold_sweep([threshold], config)
     rows = sweep_rows("simulate", sweep, config)
     print(format_summary(rows))
@@ -324,12 +315,12 @@ def _sweep_figure(figure: str, metric: str, values: list[int]):
         )
         if metric == "aoii":
             return rows
-        params, zeta, q = config.env.params, config.env.risk.zeta, config.env.q
+        spec = config.env
         emit_plot_data(
             out_dir / f"{figure}_cost_analytic.dat",
-            [(n, cost_breakdown(n, params, q=q).total, 0.0) for n in values],
+            [(n, cost_breakdown(n, spec).total, 0.0) for n in values],
         )
-        risky = [(n, risky_frequency(n, zeta, params, q=q), 0.0) for n in values if n < zeta]
+        risky = [(n, risky_frequency(n, spec), 0.0) for n in values if n < spec.risk.zeta]
         if risky:
             emit_plot_data(out_dir / f"{figure}_risky_analytic.dat", risky)
         return rows
@@ -376,11 +367,10 @@ def _query_sweep_figure(figure: str, q_values: list[float]):
         for name in sorted(next(iter(by_q.values()))):
             triples = [(q, c[name].mean_cost, c[name].std_cost) for q, c in by_q.items()]
             emit_plot_data(out_dir / f"{figure}_cost_{name}.dat", triples)
-        params = config.env.params
-        optima = {q: optimal_threshold(params, q=q) for q in by_q}
+        specs = {q: replace(config.env, query=QuerySpec(q)) for q in by_q}
         emit_plot_data(
             out_dir / f"{figure}_cost_analytic.dat",
-            [(q, threshold_cost_qaoi(n, params, q), 0.0) for q, n in optima.items()],
+            [(q, cost_breakdown(optimal_threshold(s), s).total, 0.0) for q, s in specs.items()],
         )
         return rows
 

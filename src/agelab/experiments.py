@@ -223,7 +223,7 @@ def learning_comparison(config: ExperimentConfig) -> ComparisonResult:
         threshold = min(sweep, key=lambda theta: sweep[theta].mean_cost)
         known = {"threshold": sweep[threshold], "always_send": sweep[0]}
     elif threshold is None:
-        threshold = optimal_threshold(spec.params, q=spec.q)
+        threshold = optimal_threshold(spec)
 
     def learner(params: LearningParams) -> Callable[[int], Policy]:
         def trained(i: int) -> Policy:

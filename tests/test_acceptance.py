@@ -16,6 +16,7 @@ from agelab import (
     EnvSpec,
     ExperimentConfig,
     LearningParams,
+    QuerySpec,
     RiskSpec,
     SystemParams,
     age_frequency,
@@ -99,8 +100,11 @@ def test_accept_1_closed_form_cost_matches_long_simulation(capsys):
 
 
 def test_accept_2_optimal_thresholds_on_the_default_grid(capsys):
-    plain = optimal_threshold(DEFAULTS)
-    gated = {q: optimal_threshold(DEFAULTS, q=q) for q in (0.2, 0.4, 0.6, 0.8)}
+    plain = optimal_threshold(EnvSpec("aoi", DEFAULTS))
+    gated = {
+        q: optimal_threshold(EnvSpec("qaoi", DEFAULTS, query=QuerySpec(q)))
+        for q in (0.2, 0.4, 0.6, 0.8)
+    }
     expected = {0.2: 5, 0.4: 3, 0.6: 3, 0.8: 2}
     ok = plain == 2 and gated == expected
     announce(capsys, 2, ok, f"age optimum n={plain}, query optima {gated}")
@@ -122,7 +126,7 @@ def test_accept_3_age_frequencies_match_a_ten_million_step_run(capsys):
         exact = age_frequency(k, 2, DEFAULTS)
         tol = max(0.1 * exact, 0.002)
         gaps[k] = (abs(visits[k] / steps - exact), tol)
-    tail_exact = risky_frequency(2, 5, DEFAULTS)
+    tail_exact = risky_frequency(2, spec)
     tail_measured = stats.risky_freq  # steps at age >= zeta = 5
     ok = (
         all(gap <= tol for gap, tol in gaps.values())
@@ -306,7 +310,8 @@ def test_accept_8_model_invariants(capsys):
 
     # risky frequency never decreases with a laxer threshold
     for zeta in (5, 8):
-        freqs = [risky_frequency(n, zeta, DEFAULTS) for n in range(1, zeta - 1)]
+        at_zeta = EnvSpec("aoi", DEFAULTS, RiskSpec(zeta=zeta))
+        freqs = [risky_frequency(n, at_zeta) for n in range(1, zeta - 1)]
         assert all(a <= b + 1e-15 for a, b in zip(freqs, freqs[1:]))
 
     # the whole harness replays bit-identically from a seed

@@ -6,13 +6,15 @@ one of them to at least 1e-12; the cleanest cases are also derivable by
 hand and the derivation is noted inline.
 """
 
+import re
 import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agelab import SystemParams
+from agelab import EnvSpec, QuerySpec, RiskSpec, SystemParams
+from agelab import analytic
 from agelab.analytic import (
     AnalyticInapplicableError,
     CostBreakdown,
@@ -43,6 +45,14 @@ from oracles import (
 
 DEFAULTS = SystemParams()  # p=0.9, lam=0.5
 SLOW = SystemParams(p=0.05, lam=0.07)  # a risky tail of about 600 ages
+
+
+def spec(params=DEFAULTS, zeta=5, q=None):
+    """The closed forms' input: aoi, or qaoi when a query probability is given."""
+    if q is None:
+        return EnvSpec("aoi", params, RiskSpec(zeta=zeta))
+    return EnvSpec("qaoi", params, RiskSpec(zeta=zeta), QuerySpec(q))
+
 
 params_strategy = st.builds(
     SystemParams,
@@ -121,25 +131,26 @@ def test_age_frequency_values():
 
 
 def test_risky_frequency_values():
-    assert risky_frequency(2, 5, DEFAULTS) == pytest.approx(0.09208620689650669, rel=1e-10)
-    assert risky_frequency(1, 5, DEFAULTS) == pytest.approx(0.0703, rel=1e-10)
+    assert risky_frequency(2, spec()) == pytest.approx(0.09208620689650669, rel=1e-10)
+    assert risky_frequency(1, spec()) == pytest.approx(0.0703, rel=1e-10)
 
 
 def test_risky_frequency_needs_zeta_above_threshold():
     with pytest.raises(AnalyticInapplicableError):
-        risky_frequency(5, 5, DEFAULTS)
+        risky_frequency(5, spec())
     with pytest.raises(AnalyticInapplicableError):
-        risky_frequency(6, 5, DEFAULTS)
+        risky_frequency(6, spec())
 
 
 def test_query_gated_cost_value():
     assert threshold_cost_qaoi(3, DEFAULTS, 0.2) == pytest.approx(1.3886447805686735, rel=1e-12)
+    assert cost_breakdown(3, spec(q=0.2)).total == threshold_cost_qaoi(3, DEFAULTS, 0.2)
     with pytest.raises(ValueError):
         threshold_cost_qaoi(3, DEFAULTS, 1.2)
 
 
 def test_cost_breakdown_parts_sum():
-    breakdown = cost_breakdown(2, DEFAULTS)
+    breakdown = cost_breakdown(2, spec())
     assert isinstance(breakdown, CostBreakdown)
     assert breakdown.total == breakdown.age_cost + breakdown.energy_cost
     assert breakdown.period_length == pytest.approx(mean_period_length(2, DEFAULTS))
@@ -156,7 +167,7 @@ def test_cost_and_risk_match_exact_chain_defaults(n):
     chain_cost, chain_risky = aoi_long_run(threshold_rule(n), DEFAULTS, zeta=5, cap=120)
     assert threshold_cost_aoi(n, DEFAULTS) == pytest.approx(chain_cost, rel=1e-10)
     if n < 5:
-        assert risky_frequency(n, 5, DEFAULTS) == pytest.approx(chain_risky, rel=1e-9)
+        assert risky_frequency(n, spec()) == pytest.approx(chain_risky, rel=1e-9)
 
 
 @pytest.mark.parametrize("lam,p,n", [(0.3, 0.5, 1), (0.8, 0.9, 4)])
@@ -169,7 +180,7 @@ def test_cost_matches_exact_chain_off_defaults(lam, p, n):
 def test_query_gated_cost_matches_exact_chain():
     chain_cost, chain_risky = aoi_long_run(threshold_rule(3), DEFAULTS, zeta=5, cap=120, q=0.2)
     assert threshold_cost_qaoi(3, DEFAULTS, 0.2) == pytest.approx(chain_cost, rel=1e-10)
-    assert risky_frequency(3, 5, DEFAULTS, q=0.2) == pytest.approx(chain_risky, rel=1e-9)
+    assert risky_frequency(3, spec(q=0.2)) == pytest.approx(chain_risky, rel=1e-9)
 
 
 def test_age_frequencies_match_exact_chain_marginal():
@@ -242,7 +253,7 @@ def test_query_probability_one_is_plain_cost(params, n):
 
 
 def test_query_scaling_of_risky_frequency():
-    assert risky_frequency(2, 5, DEFAULTS, q=0.2) == 0.2 * risky_frequency(2, 5, DEFAULTS)
+    assert risky_frequency(2, spec(q=0.2)) == 0.2 * risky_frequency(2, spec())
 
 
 def test_cost_curve_unimodal_on_default_grid():
@@ -264,14 +275,14 @@ def test_risky_frequency_nondecreasing_in_threshold(p, lam, zeta):
     # Where the exact risk is far below 1e-15 (p = 1, lam close to 1) the
     # closed form returns rounding noise of about 1e-15, in either order.
     params = SystemParams(p=p, lam=lam)
-    risks = [risky_frequency(n, zeta, params) for n in range(1, zeta)]
+    risks = [risky_frequency(n, spec(params, zeta)) for n in range(1, zeta)]
     for earlier, later in zip(risks, risks[1:]):
         assert later >= earlier - 1e-12
 
 
 def test_risky_frequency_increasing_in_threshold_at_defaults():
     for zeta in (4, 5, 8):
-        risks = [risky_frequency(n, zeta, DEFAULTS) for n in range(1, zeta)]
+        risks = [risky_frequency(n, spec(zeta=zeta)) for n in range(1, zeta)]
         assert risks == sorted(risks)
 
 
@@ -284,11 +295,11 @@ def test_risky_frequency_increasing_in_threshold_at_defaults():
 
 def assert_series_identical(n, zeta, params, q, k):
     risky = series_risky_frequency(n, zeta, params, q)
-    assert risky_frequency(n, zeta, params, q=q) == risky
+    assert risky_frequency(n, spec(params, zeta, q)) == risky
     assert age_frequency(k, n, params) == series_age_frequency(k, n, params)
     for r in range(1, k + 2):
         assert reach_probability(r, k, n, params) == series_reach_probability(r, k, n, params)
-    result = evaluate_threshold(n, params, zeta, q=q)
+    result = evaluate_threshold(n, spec(params, zeta, q))
     assert result.freq == {
         j: q * series_age_frequency(j, n, params) for j in range(n + 1, max(n + 8, zeta + 4) + 1)
     }
@@ -318,17 +329,17 @@ def test_repeated_terms_end_the_risky_sum():
     # the reach probabilities cancel to a constant 1.1e-16 past about ten
     # ages, so the terms repeat; without the repeat stop this never returned
     params = SystemParams(p=1.0, lam=0.969945730993683)
-    value = risky_frequency(4, 9, params)
+    value = risky_frequency(4, spec(params, 9))
     assert value == series_risky_frequency(4, 9, params)
     assert 0.0 < value < 1e-8
 
 
 def test_slow_channel_is_fast_and_equals_the_series():
     start = time.perf_counter()
-    risky = risky_frequency(1, 5, SLOW)
+    risky = risky_frequency(1, spec(SLOW))
     assert time.perf_counter() - start < 0.5  # about 4 s through the term-by-term series
     assert risky == series_risky_frequency(1, 5, SLOW)
-    result = evaluate_threshold(1, SLOW, 5)
+    result = evaluate_threshold(1, spec(SLOW))
     assert result.risky_freq == risky
     assert result.freq == {k: series_age_frequency(k, 1, SLOW) for k in range(2, 10)}
     assert reach_probability(3, 600, 2, SLOW) == series_reach_probability(3, 600, 2, SLOW)
@@ -337,14 +348,67 @@ def test_slow_channel_is_fast_and_equals_the_series():
 def test_risk_constrained_threshold_on_a_slow_channel_reuses_the_risks():
     start = time.perf_counter()
     with pytest.raises(InfeasibleRiskBudgetError) as info:
-        risk_constrained_threshold(0.0, 5, SLOW)
+        risk_constrained_threshold(0.0, spec(SLOW))
     assert time.perf_counter() - start < 1.0
-    assert info.value.min_risk == min(risky_frequency(n, 5, SLOW) for n in range(1, 5))
+    assert info.value.min_risk == min(risky_frequency(n, spec(SLOW)) for n in range(1, 5))
+
+
+def test_slow_channel_budget_keeps_every_point_down_to_a_thousandth(monkeypatch):
+    # The counted series lengths fall as p or lam rises, so p = lam = 1e-3 is
+    # the longest point kept.  Its cost series runs; its risky series takes
+    # over a minute, so a stand-in that ends at once shows only that the
+    # budget lets it start.
+    corner = spec(SystemParams(p=1e-3, lam=1e-3))
+    assert 10_000 < cost_breakdown(1, corner).terms < analytic._MAX_TERMS
+    monkeypatch.setattr(analytic, "_age_frequencies", lambda *args: iter([0.0] * 20))
+    assert risky_frequency(1, corner) == 0.0
+
+
+# the entry points that meet each series first
+FIRST_TO_RUN = {
+    "risky": (risky_frequency, evaluate_threshold, lambda n, s: risk_constrained_threshold(0.5, s)),
+    "cost": (cost_breakdown, evaluate_threshold, lambda n, s: optimal_threshold(s)),
+}
+
+
+@pytest.mark.parametrize("params, series, message", [
+    (SystemParams(p=5e-4, lam=5e-4), "risky", "about 8.56e+04 terms at p=0.0005, lambda=0.0005"),
+    (SystemParams(p=2e-4, lam=1.0), "risky", "about 1.81e+05 terms at p=0.0002, lambda=1"),
+    (SystemParams(p=1e-4, lam=2e-4), "cost", "about 9.21e+04 terms at p=0.0001, lambda=0.0002"),
+], ids=["risky_p_lam_5e-4", "risky_p_2e-4", "cost_p_1e-4"])
+def test_slow_channel_past_the_budget_is_refused_before_the_series_runs(params, series, message):
+    start = time.perf_counter()
+    expected = re.escape(f"the {series} series needs {message}, more than the 50000 allowed")
+    for call in FIRST_TO_RUN[series]:
+        with pytest.raises(AnalyticInapplicableError, match=expected):
+            call(1, spec(params))
+    assert time.perf_counter() - start < 0.5
+
+
+def test_underflowing_squares_are_refused():
+    for params in (SystemParams(p=1e-160), SystemParams(lam=1e-155)):
+        with pytest.raises(AnalyticInapplicableError, match=r"p\*\*2 and lambda\*\*2"):
+            optimal_threshold(spec(params))
+    # the square of 1.5e-154 is still a normal float
+    assert optimal_threshold(spec(SystemParams(p=1.5e-154))) == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: cost_breakdown(1, s),
+    lambda s: risky_frequency(1, s),
+    lambda s: evaluate_threshold(1, s),
+    lambda s: optimal_threshold(s),
+    lambda s: risk_constrained_threshold(0.5, s),
+], ids=["cost_breakdown", "risky_frequency", "evaluate_threshold", "optimal_threshold",
+        "risk_constrained_threshold"])
+def test_every_closed_form_refuses_the_mismatch_metric(call):
+    with pytest.raises(AnalyticInapplicableError, match="no closed form for the mismatch metric"):
+        call(EnvSpec("aoii"))
 
 
 def test_long_age_table_is_quadratic_and_equals_the_series():
     start = time.perf_counter()
-    result = evaluate_threshold(2, DEFAULTS, 5, k_max=600)
+    result = evaluate_threshold(2, spec(), k_max=600)
     assert time.perf_counter() - start < 0.5  # minutes at k_max = 2000 through the series
     assert sorted(result.freq) == list(range(3, 601))
     # the series costs O(k^2) per age, so it checks a spread of ages
@@ -356,14 +420,14 @@ def test_long_age_table_is_quadratic_and_equals_the_series():
 
 
 def test_optimal_threshold_defaults():
-    assert optimal_threshold(DEFAULTS) == 2
+    assert optimal_threshold(spec()) == 2
 
 
 @pytest.mark.parametrize(
     "q,expected", [(0.05, 11), (0.2, 5), (0.4, 3), (0.6, 3), (0.8, 2), (1.0, 2)]
 )
 def test_optimal_threshold_query_grid(q, expected):
-    assert optimal_threshold(DEFAULTS, q=q) == expected
+    assert optimal_threshold(spec(q=q)) == expected
 
 
 @pytest.mark.parametrize("lam", [0.3, 0.5, 0.8])
@@ -372,7 +436,7 @@ def test_optimal_threshold_matches_full_scan(lam, p):
     params = SystemParams(p=p, lam=lam)
     costs = {n: threshold_cost_aoi(n, params) for n in range(1, 65)}
     brute = min(costs, key=costs.get)
-    assert optimal_threshold(params) == brute
+    assert optimal_threshold(spec(params)) == brute
 
 
 @settings(deadline=None)
@@ -384,27 +448,28 @@ def test_optimal_threshold_matches_full_scan(lam, p):
 def test_optimal_threshold_is_the_exhaustive_argmin(p, lam, q):
     """The early-stopping scan finds the first minimum over all of n = 1..64."""
     params = SystemParams(p=p, lam=lam)
-    costs = [cost_breakdown(n, params, q=q).total for n in range(1, 65)]
-    assert optimal_threshold(params, q=q) == 1 + costs.index(min(costs))
+    costs = [cost_breakdown(n, spec(params, q=q)).total for n in range(1, 65)]
+    assert optimal_threshold(spec(params, q=q)) == 1 + costs.index(min(costs))
 
 
 def test_optimal_threshold_validation():
     with pytest.raises(ValueError):
-        optimal_threshold(DEFAULTS, n_max=0)
+        optimal_threshold(spec(), n_max=0)
+    # the query probability is checked once, where the spec is built
     with pytest.raises(ValueError, match="q must be in"):
-        optimal_threshold(DEFAULTS, q=1.5)
+        optimal_threshold(spec(q=1.5))
 
 
 def test_risk_constrained_threshold_defaults():
     # generous budget: the cost optimum is feasible
-    assert risk_constrained_threshold(1.0, 5, DEFAULTS) == 2
+    assert risk_constrained_threshold(1.0, spec()) == 2
     # tight budget: forced below the cost optimum
-    assert risk_constrained_threshold(0.08, 5, DEFAULTS) == 1
+    assert risk_constrained_threshold(0.08, spec()) == 1
 
 
 def test_risk_constrained_threshold_infeasible():
     with pytest.raises(InfeasibleRiskBudgetError) as info:
-        risk_constrained_threshold(0.05, 5, DEFAULTS)
+        risk_constrained_threshold(0.05, spec())
     assert info.value.budget == 0.05
     assert info.value.min_risk == pytest.approx(0.0703, rel=1e-9)
     assert "minimum achievable" in str(info.value)
@@ -412,28 +477,28 @@ def test_risk_constrained_threshold_infeasible():
 
 def test_risk_constrained_threshold_no_candidates():
     with pytest.raises(AnalyticInapplicableError):
-        risk_constrained_threshold(0.5, 1, DEFAULTS)
+        risk_constrained_threshold(0.5, spec(zeta=1))
     # a nan budget is refused too, not reported as infeasible
     for budget in (-0.1, float("nan")):
         with pytest.raises(ValueError, match="budget must be nonnegative"):
-            risk_constrained_threshold(budget, 5, DEFAULTS)
+            risk_constrained_threshold(budget, spec())
 
 
 def test_risk_constrained_threshold_query_gated():
     # gating scales every risk down by q, widening the feasible set
-    plain = risk_constrained_threshold(0.02, 5, DEFAULTS, q=0.2)
+    plain = risk_constrained_threshold(0.02, spec(q=0.2))
     assert plain == 2
     with pytest.raises(InfeasibleRiskBudgetError):
-        risk_constrained_threshold(0.002, 5, DEFAULTS, q=0.2)
+        risk_constrained_threshold(0.002, spec(q=0.2))
 
 
 # --- bundled evaluation ----------------------------------------------------
 
 
 def test_evaluate_threshold_bundle():
-    result = evaluate_threshold(2, DEFAULTS, zeta=5)
+    result = evaluate_threshold(2, spec())
     assert result.threshold == 2
-    assert result.breakdown == cost_breakdown(2, DEFAULTS)
+    assert result.breakdown == cost_breakdown(2, spec())
     assert result.breakdown.total == pytest.approx(threshold_cost_aoi(2, DEFAULTS))
     assert result.breakdown.period_length == pytest.approx(mean_period_length(2, DEFAULTS))
     assert result.breakdown.attempts == pytest.approx(1 / 0.9)
@@ -442,13 +507,13 @@ def test_evaluate_threshold_bundle():
 
 
 def test_evaluate_threshold_query_scales_frequencies():
-    plain = evaluate_threshold(2, DEFAULTS, zeta=5)
-    gated = evaluate_threshold(2, DEFAULTS, zeta=5, q=0.2)
+    plain = evaluate_threshold(2, spec())
+    gated = evaluate_threshold(2, spec(q=0.2))
     for k, value in plain.freq.items():
         assert gated.freq[k] == pytest.approx(0.2 * value)
     assert gated.risky_freq == pytest.approx(0.2 * plain.risky_freq)
 
 
 def test_evaluate_threshold_explicit_band():
-    result = evaluate_threshold(2, DEFAULTS, zeta=5, k_max=15)
+    result = evaluate_threshold(2, spec(), k_max=15)
     assert sorted(result.freq) == list(range(3, 16))

@@ -6,6 +6,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -332,6 +333,18 @@ def test_analytic_rejects_mismatch_metric(capsys):
     assert "simulate" in err
 
 
+# the closed forms refuse the mismatch metric themselves, in one message
+@pytest.mark.parametrize("argv", [
+    ["analytic", "--metric", "aoii", "--threshold", "1"],
+    ["optimize", "--metric", "aoii"],
+    ["optimize", "--metric", "aoii", "--risk-budget", "0.5"],
+], ids=["analytic", "optimize", "optimize_budget"])
+def test_closed_form_commands_refuse_the_mismatch_metric_alike(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: no closed form for the mismatch metric; use simulate instead\n"
+
+
 def test_analytic_rejects_zeta_at_or_below_threshold(capsys):
     code, _, err = run_cli(["analytic", "--threshold", "5"], capsys)
     assert code == 1
@@ -406,6 +419,23 @@ def test_optimize_query_metric_under_budget_is_pinned(capsys):
     )
 
 
+@pytest.mark.parametrize("extra, expected", [
+    ([], (
+        "optimal threshold: 3\n"
+        "average cost     1.955990539852014\n"
+        "risky frequency  0.05530819245771118\n"
+    )),
+    (["--risk-budget", "0.04"], (
+        "optimal threshold under risk budget 0.04: 2\n"
+        "average cost     2.0575115950796534\n"
+        "risky frequency  0.036834482758602675\n"
+    )),
+], ids=["unconstrained", "budget_0.04"])
+def test_optimize_query_metric_at_q_04_is_pinned(capsys, extra, expected):
+    code, out, err = run_cli(["optimize", "--metric", "qaoi", "--q", "0.4", *extra], capsys)
+    assert (code, out, err) == (0, expected, "")
+
+
 def test_optimize_infeasible_budget_exits_two(capsys):
     code, _, err = run_cli(["optimize", "--risk-budget", "0.05"], capsys)
     assert code == 2
@@ -429,6 +459,33 @@ def test_risky_closed_form_refuses_a_very_slow_channel(capsys, argv, product):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (1, "")
     assert err == f"error: risky frequency in closed form needs lambda*p >= 2**-53, got {product}\n"
+
+
+# Slower channels need longer series.  Each closed form counts its series'
+# terms from (p, lambda) before it runs them and refuses past a fixed
+# budget, as it does where p**2 or lambda**2 underflows.
+@pytest.mark.parametrize("argv, message", [
+    (
+        ["analytic", "--threshold", "1", "--p", "1e-9", "--lambda", "1e-9"],
+        "the cost series needs about 1.38e+10 terms at p=1e-09, lambda=1e-09, "
+        "more than the 50000 allowed",
+    ),
+    (
+        ["optimize", "--p", "1e-6", "--lambda", "1e-6"],
+        "the cost series needs about 1.38e+07 terms at p=1e-06, lambda=1e-06, "
+        "more than the 50000 allowed",
+    ),
+    (
+        ["optimize", "--p", "1e-300"],
+        "the closed-form cost needs p**2 and lambda**2 in the float range, "
+        "got p=1e-300, lambda=0.5",
+    ),
+], ids=["analytic_1e-9", "optimize_1e-6", "optimize_p_1e-300"])
+def test_closed_forms_refuse_a_slow_channel_at_once(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 # simulate
@@ -514,7 +571,8 @@ def test_simulate_report_and_csv_are_pinned(capsys, tmp_path, metric, threshold)
 def test_simulate_mismatch_metric_needs_theta(capsys):
     code, _, err = run_cli(["simulate", "--metric", "aoii", "--runs", "1"], capsys)
     assert code == 1
-    assert "--threshold" in err
+    # its own check, not the closed forms' refusal of the mismatch metric
+    assert err == "error: simulate needs --threshold for the aoii metric\n"
 
 
 def test_threshold_sets_theta_for_mismatch_metric(capsys):
@@ -843,6 +901,7 @@ def test_query_sweep_preset_rows_are_pinned(capsys, tmp_path):
     )
     assert code == 0
     assert (tmp_path / "fig7.csv").read_text() == FIG7_CSV
+    assert (tmp_path / "fig7_cost_analytic.dat").read_text() == FIG7_OVERLAYS["defaults"]
 
 
 # fig7's analytic overlay: the cost of the optimal threshold at each q.  It

@@ -12,6 +12,7 @@ from agelab import (
     EnvSpec,
     ExperimentConfig,
     LearningParams,
+    QuerySpec,
     SystemParams,
     cost_breakdown,
     evaluate,
@@ -152,7 +153,7 @@ def test_threshold_sweep_structure():
     assert [row.param for row in sweep_rows("s", sweep, FAST)] == ["n=1", "n=2", "n=3"]
     for n, stats in sweep.items():
         # the closed-form cost that the fig3a preset overlays on the measured one
-        overlay = cost_breakdown(n, FAST.env.params).total
+        overlay = cost_breakdown(n, FAST.env).total
         assert stats.mean_cost == pytest.approx(overlay, rel=0.1)
 
 
@@ -335,7 +336,8 @@ def test_query_sweep_points_carry_analytic_optimum():
     # without a configured threshold each baseline is the optimum at its q,
     # the threshold fig7's overlay is computed at
     assert [comparison.threshold for comparison in result.values()] == [5, 2]
-    assert [optimal_threshold(config.env.params, q=q) for q in result] == [5, 2]
+    gated = [replace(config.env, metric="qaoi", query=QuerySpec(q)) for q in result]
+    assert [optimal_threshold(spec) for spec in gated] == [5, 2]
     with pytest.raises(ValueError):
         query_prob_sweep([], config)
 
