@@ -375,7 +375,6 @@ def risky_frequency(n: int, spec: EnvSpec) -> float:
 class AnalyticResult:
     """Everything the closed forms say about one threshold policy."""
 
-    threshold: int
     breakdown: CostBreakdown
     freq: dict[int, float]
     risky_freq: float
@@ -389,7 +388,7 @@ def evaluate_threshold(n: int, spec: EnvSpec, k_max: int | None = None) -> Analy
     ages = range(n + 1, k_max + 1)
     freq = {k: spec.q * f for k, f in zip(ages, _age_frequencies(n, spec.params, n + 1))}
     risky = risky_frequency(n, spec)
-    return AnalyticResult(threshold=n, breakdown=breakdown, freq=freq, risky_freq=risky)
+    return AnalyticResult(breakdown=breakdown, freq=freq, risky_freq=risky)
 
 
 def optimal_threshold(spec: EnvSpec, n_max: int = N_MAX) -> int:

@@ -78,8 +78,8 @@ CONFIG_KEYS: tuple[tuple[str, type, str], ...] = (
     ("epsilon_min", float, "exploration floor"),
     ("learn_steps", int, "training steps"),
     ("test_steps", int, "evaluation steps per run"),
-    ("runs", int, "evaluation runs; nothing caps them, and each keeps about 100 B "
-     "per strategy (per threshold in a sweep) until the experiment ends"),
+    ("runs", int, "evaluation runs; nothing caps them, and each holds about 100 B "
+     "per strategy (per threshold in a sweep) while the experiment runs, none after"),
     ("a_max", int, f"state clamp for learning (at most {A_MAX_LIMIT})"),
     ("seed", int, "base seed for all streams"),
     ("threshold", int, "send threshold n (or mismatch theta)"),
@@ -246,16 +246,18 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     budget = args.risk_budget
     if budget is None:
         best = optimal_threshold(spec, n_max=args.n_max)
-        print(f"optimal threshold: {best}")
+        heading = "optimal threshold"
     else:
         best = risk_constrained_threshold(budget, spec, n_max=args.n_max)
-        print(f"optimal threshold under risk budget {budget:g}: {best}")
-    print(f"average cost     {cost_breakdown(best, spec).total!r}")
-    try:
-        risk = risky_frequency(best, spec)
+        heading = f"optimal threshold under risk budget {budget:g}"
+    # the risky closed form covers only thresholds below zeta; any other
+    # refusal surfaces before a line is printed, as it does for analytic
+    cost = cost_breakdown(best, spec).total
+    risk = risky_frequency(best, spec) if best < spec.risk.zeta else None
+    print(f"{heading}: {best}")
+    print(f"average cost     {cost!r}")
+    if risk is not None:
         print(f"risky frequency  {risk!r}")
-    except AnalyticInapplicableError:
-        pass
     return 0
 
 

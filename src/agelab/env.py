@@ -50,8 +50,6 @@ INITIAL_AOII: Final[tuple[bool, int]] = (True, 0)
 
 
 class Policy(Protocol):
-    name: str
-
     def decide(self, state) -> int: ...
 
 
@@ -159,7 +157,7 @@ class AoiEnv:
             raise ValueError(f"AoiEnv simulates aoi and qaoi, not {spec.metric}")
         self.params = params = spec.params
         self.zeta = spec.risk.zeta
-        self.query = query = spec.query if spec.metric == "qaoi" else None
+        query = spec.query if spec.metric == "qaoi" else None
         self.metric = spec.metric
         arrival, channel, asked, _ = _substreams(seed)
         self._arrivals = _flags(arrival, params.lam)
@@ -193,7 +191,7 @@ class AoiiEnv:
         if spec.metric != "aoii":
             raise ValueError(f"AoiiEnv simulates aoii, not {spec.metric}")
         self.params = params = spec.params
-        self.source = source = spec.source
+        source = spec.source
         # probability of a source event, indexed by the synced flag: keeping
         # the value (p_r) when synced, returning to the receiver's (p_c) when not
         self._event_prob = (source.p_c, source.p_r)

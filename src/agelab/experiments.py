@@ -7,8 +7,9 @@ strategies are paired rather than noise from different event sequences.
 ``evaluate`` runs one policy per seed through ``run_policy``, and
 ``threshold_sweep`` runs every threshold of a sweep on each seed's events at
 once through ``kernels.threshold_rollouts``, which gives the same numbers
-bit for bit; both reduce each finished run to the three floats
-``RunStats`` keeps.
+bit for bit; both reduce each finished run to its cost, risky frequency
+and send rate, and a finished strategy keeps only the five floats of its
+``RunStats``.
 An experiment reads every setting from its ``ExperimentConfig`` alone: the
 metric and system from ``config.env``, the training length from
 ``config.learning.steps`` and the run profile from the config itself; a
@@ -24,7 +25,7 @@ import csv
 from dataclasses import astuple, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .analytic import optimal_threshold
 from .env import EnvSpec, Policy, TrajectoryStats, _child, _seed_sequence, run_policy
@@ -80,16 +81,13 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunStats:
-    """Cross-run aggregates plus the raw per-run values behind them."""
+    """Cross-run means and sample standard deviations of one strategy's runs."""
 
     mean_cost: float
     std_cost: float
     mean_risky_freq: float
     std_risky_freq: float
     mean_send_rate: float
-    costs: tuple[float, ...]
-    risky_freqs: tuple[float, ...]
-    send_rates: tuple[float, ...]
 
     @classmethod
     def from_runs(
@@ -106,9 +104,6 @@ class RunStats:
             mean_risky_freq=float(np.mean(risky)),
             std_risky_freq=std(risky),
             mean_send_rate=float(np.mean(send_rates)),
-            costs=tuple(costs),
-            risky_freqs=tuple(risky),
-            send_rates=tuple(send_rates),
         )
 
 
@@ -125,7 +120,8 @@ def _fold_runs(
 ) -> list[RunStats]:
     """Per-lane aggregates of ``rollout(seed, i)``, one trajectory per lane, on
     each of the config's runs i at its evaluation seed; a run is reduced to
-    three floats per lane as soon as it finishes."""
+    three floats per lane as soon as it finishes, and those are dropped once
+    the lane's RunStats is built."""
     evaluation_seed = _run_seeds(config.base_seed, EVALUATION)
     columns = [([], [], []) for _ in range(lanes)]
     for i in range(config.runs):
@@ -176,21 +172,12 @@ def threshold_sweep(thresholds: list[int], config: ExperimentConfig) -> dict[int
     return dict(zip(values, _fold_runs(rollout, len(values), config)))
 
 
-class ComparisonResult(Mapping[str, RunStats]):
+class ComparisonResult(dict[str, RunStats]):
     """Per-strategy statistics plus the baseline threshold that was chosen."""
 
     def __init__(self, results: dict[str, RunStats], threshold: int) -> None:
-        self.results = results
+        super().__init__(results)
         self.threshold = threshold
-
-    def __getitem__(self, key: str) -> RunStats:
-        return self.results[key]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.results)
-
-    def __len__(self) -> int:
-        return len(self.results)
 
 
 def learning_comparison(config: ExperimentConfig) -> ComparisonResult:

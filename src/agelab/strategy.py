@@ -30,7 +30,6 @@ class ThresholdPolicy:
         if n < 1:
             raise ValueError(f"threshold must be at least 1, got {n}")
         self.n = n
-        self.name = f"threshold({n})"
 
     def decide(self, state: tuple[int, int]) -> int:
         return SEND if state[1] - state[0] >= self.n else WAIT
@@ -46,7 +45,6 @@ class AoiiThresholdPolicy:
         if theta < 0:
             raise ValueError(f"theta must be nonnegative, got {theta}")
         self.theta = theta
-        self.name = f"aoii-threshold({theta})"
 
     def decide(self, state: tuple[bool, int]) -> int:
         return SEND if state[1] >= self.theta else WAIT
@@ -71,7 +69,6 @@ class RandomPolicy:
             raise ValueError(f"send_prob must be in [0, 1], got {send_prob}")
         self.send_prob = send_prob
         self._uniform = uniform_stream(rng)
-        self.name = f"random({send_prob:g})"
 
     def decide(self, state) -> int:
         return SEND if next(self._uniform) < self.send_prob else WAIT
@@ -86,8 +83,6 @@ class GreedyPolicy:
     """
 
     def __init__(self, table) -> None:
-        self.table = table
-        self.name = f"greedy({table.metric})"
         self._slot = table.wait_slot()
         view = memoryview(table.values)
         self._flat = view.cast("B").cast(view.format)

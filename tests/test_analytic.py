@@ -497,7 +497,6 @@ def test_risk_constrained_threshold_query_gated():
 
 def test_evaluate_threshold_bundle():
     result = evaluate_threshold(2, spec())
-    assert result.threshold == 2
     assert result.breakdown == cost_breakdown(2, spec())
     assert result.breakdown.total == pytest.approx(threshold_cost_aoi(2, DEFAULTS))
     assert result.breakdown.period_length == pytest.approx(mean_period_length(2, DEFAULTS))

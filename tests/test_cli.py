@@ -442,18 +442,21 @@ def test_optimize_infeasible_budget_exits_two(capsys):
     assert err.startswith("infeasible:")
 
 
+@pytest.mark.parametrize("zeta, risky", [("2", ""), ("3", "risky frequency  0.36379310344810534\n")])
+def test_optimize_prints_the_risky_line_exactly_below_zeta(capsys, zeta, risky):
+    """The risky closed form covers thresholds below zeta only; at the
+    chosen threshold 2, zeta = 2 leaves the line out and zeta = 3 prints it."""
+    code, out, err = run_cli(["optimize", "--zeta", zeta], capsys)
+    expected = "optimal threshold: 2\naverage cost     3.5103851582980443\n" + risky
+    assert (code, out, err) == (0, expected, "")
+
+
 # Below lambda * p = 2**-53 the risky closed form's tail bound rounds to 1.
-
-
-def test_optimize_on_a_very_slow_channel_skips_the_risky_line(capsys):
-    code, out, err = run_cli(["optimize", "--p", "1e-100"], capsys)
-    assert (code, err) == (0, "")
-    assert out == "optimal threshold: 1\naverage cost     9.999999999990905e+99\n"
-
-
 @pytest.mark.parametrize("argv, product", [
     (["analytic", "--threshold", "1", "--p", "1e-16"], "5e-17"),
     (["optimize", "--lambda", "1e-17", "--risk-budget", "0.5"], "9e-18"),
+    # optimize computes the risk of its choice before it prints any line
+    (["optimize", "--p", "1e-100"], "5e-101"),
 ])
 def test_risky_closed_form_refuses_a_very_slow_channel(capsys, argv, product):
     code, out, err = run_cli(argv, capsys)

@@ -18,6 +18,7 @@ from agelab import (
     evaluate,
     learning_comparison,
     optimal_threshold,
+    run_policy,
     threshold_sweep,
 )
 from agelab import kernels
@@ -33,7 +34,13 @@ from agelab.experiments import (
     sweep_rows,
 )
 from agelab.learning import train
-from agelab.strategy import AoiiThresholdPolicy, GreedyPolicy, RandomPolicy, ThresholdPolicy
+from agelab.strategy import (
+    AoiiThresholdPolicy,
+    GreedyPolicy,
+    RandomPolicy,
+    ThresholdPolicy,
+    threshold_policy,
+)
 
 FAST = ExperimentConfig(
     learning=LearningParams(steps=3000, a_max=32),
@@ -48,15 +55,14 @@ def with_metric(config, metric):
 
 
 def test_env_spec_builds_each_metric():
+    # which settings each environment reads, and how, is pinned step by step
+    # by tests/test_env.py::test_step_equals_a_replay_of_single_draws
     plain = EnvSpec("aoi").build(0)
-    assert isinstance(plain, AoiEnv)
-    assert plain.metric == "aoi" and plain.query is None
+    assert isinstance(plain, AoiEnv) and plain.metric == "aoi"
     gated = EnvSpec("qaoi").build(0)
-    assert gated.metric == "qaoi"
-    assert gated.query.q == 0.2
+    assert isinstance(gated, AoiEnv) and gated.metric == "qaoi"
     mismatch = EnvSpec("aoii").build(0)
-    assert isinstance(mismatch, AoiiEnv)
-    assert mismatch.source.num_states == 10
+    assert isinstance(mismatch, AoiiEnv) and mismatch.metric == "aoii"
     with pytest.raises(ValueError):
         EnvSpec("foo")
     # the query gate: 1 (ungated) unless the metric is qaoi
@@ -87,7 +93,6 @@ def test_run_stats_aggregation():
     assert stats.mean_cost == pytest.approx(2.0)
     assert stats.std_cost == pytest.approx(np.std([1.0, 2.0, 3.0], ddof=1))
     assert stats.mean_risky_freq == pytest.approx(0.2)
-    assert stats.costs == (1.0, 2.0, 3.0)
     single = RunStats.from_runs([4.0], [0.0], [1.0])
     assert single.std_cost == 0.0
 
@@ -127,7 +132,7 @@ def test_evaluate_policy_factory_gets_per_run_seeds():
     b = evaluate(factory, config)
     assert a == b
     # distinct per-run streams: not all runs produce identical costs
-    assert len(set(a.costs)) > 1
+    assert a.std_cost > 0.0
 
     # a comparison's learners are such factories: one greedy policy per run,
     # trained on that run's training and exploration seeds
@@ -206,39 +211,68 @@ def test_threshold_sweep_derives_each_run_substreams_once(monkeypatch, metric):
     assert len(derived) == FAST.runs
 
 
+def _one_strategy(experiment, runs):
+    """A one-strategy experiment's result at the aoi defaults, one step per run."""
+    config = ExperimentConfig(EnvSpec("aoi"), test_steps=1, runs=runs)
+    if experiment == "evaluate":
+        return evaluate(ThresholdPolicy(2), config)
+    return threshold_sweep([2], config)
+
+
 @pytest.mark.parametrize("experiment", ["evaluate", "threshold_sweep"])
 def test_memory_grows_by_three_floats_per_run(experiment):
-    """Each finished run is reduced to the three floats RunStats keeps (a
-    float in a list and its tuple entry take 40 B), so the traced peak of a
-    one-strategy experiment grows by at most 160 B per run."""
+    """While an experiment runs, each finished run is held as its cost, risky
+    frequency and send rate (a float and its list entry take 32 B), so the
+    traced peak of a one-strategy experiment grows by at most 160 B per run."""
     import tracemalloc
-
-    def run(runs):
-        config = ExperimentConfig(EnvSpec("aoi"), test_steps=1, runs=runs)
-        if experiment == "evaluate":
-            evaluate(ThresholdPolicy(2), config)
-        else:
-            threshold_sweep([2], config)
 
     def traced_peak(runs):
         tracemalloc.start()
         try:
-            run(runs)
+            _one_strategy(experiment, runs)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    run(2)  # warm-up: lazy imports and caches
+    _one_strategy(experiment, 2)  # warm-up: lazy imports and caches
     small, large = traced_peak(1000), traced_peak(3000)
     assert (large - small) / 2000 <= 160
 
 
+@pytest.mark.parametrize("experiment", ["evaluate", "threshold_sweep"])
+def test_a_finished_result_keeps_nothing_per_run(experiment):
+    """Once an experiment returns, its result holds the reported floats
+    alone: the memory still traced while the result is held is the same at
+    200 and at 2,000 runs, to within 1 KB."""
+    import tracemalloc
+
+    def retained(runs):
+        tracemalloc.start()
+        try:
+            held = _one_strategy(experiment, runs)  # noqa: F841 (held while measured)
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    _one_strategy(experiment, 2)  # warm-up: lazy imports and caches
+    assert retained(2000) - retained(200) <= 1024
+
+
 @pytest.mark.parametrize("metric, values", [("aoi", [1, 3]), ("qaoi", [2, 4]), ("aoii", [0, 2])])
 def test_threshold_sweep_points_equal_evaluate(metric, values):
+    """Every run of a sweep equals its threshold policy's run_policy rollout
+    at that run's evaluation seed, so each point equals ``evaluate``."""
     config = with_metric(FAST, metric)
+    policies = [threshold_policy(metric, value) for value in values]
+    # run i's evaluation seed: child i of the base seed's first child
+    seeds = np.random.SeedSequence(config.base_seed).spawn(4)[0].spawn(config.runs)
+    for seed in seeds:
+        lanes = kernels.threshold_rollouts(config.env, seed, values, config.test_steps)
+        direct = [run_policy(config.env.build(seed), p, config.test_steps) for p in policies]
+        assert lanes == direct
     sweep = threshold_sweep(values, config)
-    for value, stats in sweep.items():
-        policy = AoiiThresholdPolicy(value) if metric == "aoii" else ThresholdPolicy(value)
+    assert list(sweep) == values
+    for stats, policy in zip(sweep.values(), policies):
         assert stats == evaluate(policy, config)
 
 

@@ -20,7 +20,6 @@ def test_threshold_policy_boundary():
     assert policy.decide((2, 5)) == SEND
     assert policy.decide((3, 5)) == WAIT
     assert policy.decide((4, 4)) == WAIT
-    assert policy.name == "threshold(3)"
 
 
 def test_threshold_policy_sends_on_gain_not_raw_age():
@@ -84,7 +83,6 @@ def test_greedy_policy_clamps_unseen_states():
     table.values[4, 4, SEND] = 1.0
     policy = GreedyPolicy(table)
     assert policy.decide((9, 30)) == SEND
-    assert policy.name == "greedy(aoi)"
 
 
 def test_greedy_policy_reads_aoii_tables():
