@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
-from .env import SEND, WAIT, AoiEnv, AoiiEnv, _seed_sequence, uniform_stream
+from .env import INITIAL_AOII, SEND, WAIT, AoiEnv, AoiiEnv, _seed_sequence, uniform_stream
 
 if TYPE_CHECKING:
     import numpy as np
@@ -136,6 +136,11 @@ class LearningParams:
             raise ValueError(f"delta must be in (0, 1], got {self.delta}")
         if not 0.0 <= self.epsilon_min <= 1.0:
             raise ValueError(f"epsilon_min must be in [0, 1], got {self.epsilon_min}")
+        # a floor above the start would explore below it until epsilon0 * delta**i reached it
+        if self.epsilon_min > self.epsilon0:
+            raise ValueError(
+                f"epsilon_min must be at most epsilon0 ({self.epsilon0}), got {self.epsilon_min}"
+            )
         if not 0.0 < self.rate <= 1.0:
             raise ValueError(f"rate must be in (0, 1], got {self.rate}")
         if self.rate_power is not None and not self.rate_power > 0.0:
@@ -169,13 +174,18 @@ def train(
     identical (env seed, train seed) pairs replay identically.  Exactly one
     table entry is touched per step; epsilon follows the closed form
     max(epsilon_min, epsilon0 * delta**i) after i steps.
+
+    An aoi or qaoi env is stepped through ``env.step``.  An aoii env is
+    advanced in the loop itself: each step takes the source draw and then
+    the channel flag from the env's own streams, exactly as ``AoiiEnv.step``
+    does, so the table, the risky count, ``env.state`` and the env's streams
+    end as they would after the same steps through ``env.step``.
     """
     import numpy as np
 
     a_cap = params.a_max
     metric = env.metric
     shape = _table_shape(metric, a_cap)
-    slot_of = _wait_slot(metric, a_cap)
     # The table and its visit counts as flat lists in the layout of
     # QTable.values.reshape(-1), packed into arrays once training ends.
     q = [0.0] * math.prod(shape)
@@ -188,8 +198,28 @@ def train(
     epsilon0 = params.epsilon0
     delta = params.delta
     epsilon_min = params.epsilon_min
-    step = env.step
-    here = slot_of(env.state)
+    aoii = metric == "aoii"
+    # A state's wait entry sits at 2 * cell, the cell laid out as in
+    # _wait_slot; it is computed inline here, once per step.
+    if aoii:
+        # AoiiEnv.step's chain and step_cost's arithmetic, with the synced
+        # cost (age 0) per action and beta * nu computed once
+        source = env._source
+        delivered = env._delivered
+        p_c, p_r = env._event_prob
+        zeta = env.zeta_aoii
+        alpha = env.params.alpha
+        energy = env.params.beta * env.params.nu
+        synced_cost = (alpha * 0, alpha * 0 + energy)
+        age = env.state[1]
+        here = 2 * (age if age < a_cap else a_cap)
+    else:
+        # perfbench's traced runs count the env.step calls of aoi and qaoi
+        # training, so those metrics keep stepping the env
+        step = env.step
+        width = a_cap + 1
+        tx, rx = env.state
+        here = 2 * ((tx if tx < a_cap else a_cap) * width + (rx if rx < a_cap else a_cap))
     eps = epsilon0
     risky_seen = 0
     for i in range(1, params.steps + 1):
@@ -200,11 +230,28 @@ def train(
         eps = epsilon0 * delta**i
         if eps < epsilon_min:
             eps = epsilon_min
-        state, cost, risky, _, _ = step(action)
-        if risky:
-            risky_seen += 1
-            cost = rho * cost
-        there = slot_of(state)
+        if aoii:
+            # a source event (p_r when synced, p_c when not), then the
+            # channel flag; either a source event or a delivered send syncs
+            event = next(source) < (p_c if age else p_r)
+            if next(delivered) and action or event:
+                # age 0 is never risky: zeta_aoii is at least 1
+                age = 0
+                cost = synced_cost[action]
+                there = 0
+            else:
+                age += 1
+                cost = alpha * age + energy if action else alpha * age
+                if age >= zeta:
+                    risky_seen += 1
+                    cost = rho * cost
+                there = 2 * (age if age < a_cap else a_cap)
+        else:
+            (tx, rx), cost, risky, _, _ = step(action)
+            if risky:
+                risky_seen += 1
+                cost = rho * cost
+            there = 2 * ((tx if tx < a_cap else a_cap) * width + (rx if rx < a_cap else a_cap))
         wait_value = q[there]
         send_value = q[there + 1]
         bootstrap = wait_value if wait_value <= send_value else send_value
@@ -216,6 +263,8 @@ def train(
         q[entry] = (1.0 - rate) * q[entry] + rate * (cost + gamma * bootstrap)
         visits[entry] += 1
         here = there
+    if aoii:
+        env.state = INITIAL_AOII if age == 0 else (False, age)
     return TrainReport(
         table=QTable(metric, a_cap, np.array(q).reshape(shape)),
         visits=np.array(visits, dtype=np.int64).reshape(shape),

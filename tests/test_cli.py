@@ -244,6 +244,9 @@ NUMPY_CALL_DIGESTS = {
         "28e05c843e8dbef959781b52b87e8b4fbd154a6c720415266764853f03fed9c3",
     ("train", "--learn-steps", "2000", "--a-max", "16", "--seed", "3"):
         "7faa69a675be0d227ceb8df4b93a3b4398594cc17d6d8a28dcc1f0f7f01150fb",
+    ("train", "--metric", "aoii", "--learn-steps", "17000", "--a-max", "16", "--seed", "3",
+     "--rho", "2.5"):
+        "df2b23e9c34773e203cfea409b429bcf19708279d5649c36ab5a522517746a26",
     ("reproduce", "fig3a", "--runs", "2", "--test-steps", "400", "--seed", "1"):
         "589104508c07ad41b8e5e7b37b4cd5a331a41b845cb7c7e4bebc7e610deefcab",
     ("reproduce", "fig3c", "--runs", "2", "--test-steps", "400", "--seed", "1"):
@@ -254,7 +257,8 @@ NUMPY_CALL_DIGESTS = {
 
 
 @pytest.mark.parametrize(
-    "argv", list(NUMPY_CALL_DIGESTS), ids=["simulate", "train", "fig3a", "fig3c", "fig3d"]
+    "argv", list(NUMPY_CALL_DIGESTS),
+    ids=["simulate", "train", "train_aoii", "fig3a", "fig3c", "fig3d"],
 )
 def test_simulation_outputs_are_pinned(argv, tmp_path, capsys, monkeypatch):
     code, out, err, files = _call_in_this_process(list(argv), tmp_path / "run", capsys, monkeypatch)
@@ -673,6 +677,14 @@ def test_train_mismatch_metric_table_layout(capsys, tmp_path):
     )
     assert code == 0
     assert out_file.read_text().splitlines()[0] == "synced,aoii,action,q_value"
+
+
+def test_train_refuses_an_exploration_floor_above_the_start(capsys, tmp_path, monkeypatch):
+    """A floor above epsilon0 would explore below it until the decay reached it."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["train", "--learn-steps", "1", "--epsilon-min", "0.95"], capsys)
+    assert (code, out, err) == (1, "", "error: epsilon_min must be at most epsilon0 (0.9), got 0.95\n")
+    assert not any(tmp_path.iterdir())  # no value table written
 
 
 def test_train_refuses_an_oversized_table(capsys, tmp_path):

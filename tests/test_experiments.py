@@ -301,8 +301,8 @@ def test_mismatch_baselines_come_from_the_threshold_sweep(monkeypatch):
     """Without a configured theta the aoii baselines are read off the sweep
     that picks theta, which ran on the same evaluation seeds; they equal
     fresh evaluations, and no rollout is spent on them twice.  The sweep
-    rolls its thresholds out together without stepping an env, so only the
-    learners and the greedy/random rollouts step one."""
+    rolls its thresholds out together and the learners advance the chain
+    themselves, so only the greedy/random rollouts step an env."""
     config = ExperimentConfig(
         env=EnvSpec("aoii"),
         learning=LearningParams(steps=500, a_max=32),
@@ -320,8 +320,8 @@ def test_mismatch_baselines_come_from_the_threshold_sweep(monkeypatch):
 
     monkeypatch.setattr(AoiiEnv, "step", counted_step)
     comparison = learning_comparison(config)
-    # two learners and three greedy/random rollouts per run
-    assert steps == 2 * (2 * 500 + 3 * 400)
+    # three greedy/random rollouts per run
+    assert steps == 2 * 3 * 400
     monkeypatch.undo()
     for name, theta in (("threshold", comparison.threshold), ("always_send", 0)):
         direct = evaluate(AoiiThresholdPolicy(theta), config)

@@ -10,6 +10,7 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agelab import (
     AoiEnv,
@@ -18,10 +19,12 @@ from agelab import (
     LearningParams,
     QTable,
     QuerySpec,
+    RiskSpec,
+    SourceSpec,
     SystemParams,
     train,
 )
-from agelab.env import SEND, WAIT
+from agelab.env import BLOCK, SEND, WAIT
 from agelab.learning import A_MAX_LIMIT
 from agelab.strategy import GreedyPolicy
 
@@ -195,6 +198,7 @@ def test_qtable_dump_is_deterministic(tmp_path):
     ("delta", 0.0),
     ("delta", 1.5),
     ("epsilon_min", -0.1),
+    ("epsilon_min", 0.95),
     ("rate", 0.0),
     ("rate", 1.5),
     ("rate_power", 0.0),
@@ -308,6 +312,63 @@ def test_every_learner_branch_matches_textbook_reference(metric, rho, rate_power
     assert np.array_equal(report.visits, visits_array(visits, metric, 48))
     assert report.final_epsilon == eps
     assert report.risky_transitions == risky
+
+
+probability = st.one_of(st.just(1.0), st.floats(min_value=1e-3, max_value=1.0))
+gate = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+weight = st.floats(min_value=0.0, max_value=4.0)
+
+
+@st.composite
+def aoii_specs(draw):
+    """An aoii spec with p and lam in [1e-3, 1] and p_r at or between 0 and 1."""
+    nu, alpha, beta = draw(st.tuples(weight, weight, weight))
+    return EnvSpec(
+        "aoii",
+        SystemParams(p=draw(probability), lam=draw(probability), nu=nu, alpha=alpha, beta=beta),
+        RiskSpec(zeta_aoii=draw(st.integers(min_value=1, max_value=9))),
+        source=SourceSpec(p_r=draw(gate)),
+    )
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    spec=aoii_specs(),
+    rho=st.sampled_from([0.0, 1.0, 2.5]),
+    rate_power=st.one_of(st.none(), st.floats(min_value=0.5, max_value=1.0, exclude_min=True)),
+    epsilon_min=st.floats(min_value=0.0, max_value=0.9),
+    a_max=st.integers(min_value=2, max_value=40),
+    steps=st.sampled_from([1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5]),
+    warmup=st.sampled_from([0, 1, 7]),
+    action=st.sampled_from([WAIT, SEND]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_mismatch_training_equals_the_textbook_loop_over_env_step(
+    spec, rho, rate_power, epsilon_min, a_max, steps, warmup, action, seed,
+):
+    """train advances the aoii chain without calling env.step.  Its table,
+    visits, final epsilon and risky count equal the dict loop's over
+    env.step bit for bit, from any state the env has reached and across
+    stream blocks, and both envs then take the same next step."""
+    trained, stepped = spec.build(seed), spec.build(seed)
+    for k in range(warmup):
+        trained.step(SEND if k % 3 else WAIT)
+        stepped.step(SEND if k % 3 else WAIT)
+    params = LearningParams(
+        steps=steps, rho=rho, rate_power=rate_power, epsilon_min=epsilon_min, a_max=a_max,
+    )
+    report = train(trained, params, seed=seed)
+    visits: dict[tuple, int] = {}
+    values, eps, risky = textbook_qlearning(
+        stepped, steps, seed=seed, epsilon_min=epsilon_min, a_max=a_max, rho=rho,
+        rate_power=rate_power, visits=visits,
+    )
+    assert report.table.values.tobytes() == as_array(values, "aoii", a_max).tobytes()
+    assert np.array_equal(report.visits, visits_array(visits, "aoii", a_max))
+    assert report.final_epsilon == eps
+    assert report.risky_transitions == risky
+    assert trained.state == stepped.state
+    assert trained.step(action) == stepped.step(action)
 
 
 def test_risk_factor_changes_learning():
