@@ -7,9 +7,12 @@ strategies are paired rather than noise from different event sequences.
 ``evaluate`` runs one policy per seed through ``run_policy``, and
 ``threshold_sweep`` runs every threshold of a sweep on each seed's events at
 once through ``kernels.threshold_rollouts``, which gives the same numbers
-bit for bit; both reduce each finished run to its cost, risky frequency
-and send rate, and a finished strategy keeps only the five floats of its
-``RunStats``.
+bit for bit.  An aoii ``learning_comparison`` rolls its greedy, random and
+threshold strategies out the same way, as lanes of one ``kernels.rollouts``
+call per run, so it steps no env; aoi and qaoi comparisons still evaluate
+each strategy through ``run_policy``.  Each finished run is reduced to its
+cost, risky frequency and send rate, and a finished strategy keeps only
+the five floats of its ``RunStats``.
 An experiment reads every setting from its ``ExperimentConfig`` alone: the
 metric and system from ``config.env``, the training length from
 ``config.learning.steps`` and the run profile from the config itself; a
@@ -29,7 +32,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .analytic import optimal_threshold
 from .env import EnvSpec, Policy, TrajectoryStats, _child, _seed_sequence, run_policy
-from .kernels import threshold_rollouts
+from .kernels import rollouts, threshold_rollouts
 from .learning import LearningParams, train
 from .params import QuerySpec
 from .strategy import AoiiThresholdPolicy, GreedyPolicy, RandomPolicy, threshold_policy
@@ -220,7 +223,7 @@ def learning_comparison(config: ExperimentConfig) -> ComparisonResult:
         return trained
 
     # Each strategy's values depend only on its own seeds, so the strategies
-    # can be evaluated one after another.
+    # can be evaluated one after another, or run by run all together.
     strategies: dict[str, PolicyLike] = {
         "random": lambda i: RandomPolicy(spec.params.lam, np.random.default_rng(policy_seed(i))),
         "threshold": threshold_policy(spec.metric, threshold),
@@ -229,6 +232,18 @@ def learning_comparison(config: ExperimentConfig) -> ComparisonResult:
     }
     if spec.metric == "aoii":
         strategies["always_send"] = AoiiThresholdPolicy(0)
+        # Every strategy the sweep did not supply is a lane of one kernel
+        # call per run, on that run's evaluation seed.  aoi and qaoi keep
+        # run_policy through evaluate: perfbench's traced runs count the
+        # env.step calls of fig4's rollouts.
+        names = [name for name in strategies if name not in known]
+
+        def rollout(seed: np.random.SeedSequence, i: int) -> list[TrajectoryStats]:
+            run = [strategies[name] for name in names]
+            policies = [policy(i) if callable(policy) else policy for policy in run]
+            return rollouts(spec, seed, policies, config.test_steps)
+
+        known.update(zip(names, _fold_runs(rollout, len(names), config)))
     results = {
         name: known[name] if name in known else evaluate(policy, config)
         for name, policy in strategies.items()

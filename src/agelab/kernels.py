@@ -1,16 +1,19 @@
-"""The block simulator of threshold policies: ``threshold_rollouts`` rolls
-every threshold policy of a sweep over one seed's events at once.
+"""The block simulator: ``rollouts`` rolls out many policies over one
+seed's events at once, and ``threshold_rollouts`` every threshold of a sweep.
 
 It draws the seed's events from the substreams ``spec.build(seed)`` would
 use, one block of ``BLOCK`` per substream at a time, and turns them into
-next-event tables once per block, shared by every threshold.  Under a
+next-event tables once per block, shared by every lane.  Under a
 threshold policy the receiver age climbs by one each slot and resets only
 at a delivery, and the mismatch age resets only at a resync.  So a lane
 hops through a block from one delivery (aoii: one loss of sync) to the
 next through those tables, with one Python step per hop, and numpy fills
-in every slot's age, send, risky flag and cost in between.  Each lane
-equals ``run_policy`` of its policy on ``spec.build(seed)`` bit for bit:
-it sees the same events and adds the same costs in the same order.
+in every slot's age, send, risky flag and cost in between.  An aoii lane
+also runs a greedy table, whose send ages are a few runs of thresholds,
+and a random sender, the always-sending lane over the slots it sends in.
+Each lane equals ``run_policy`` of its policy on ``spec.build(seed)`` bit
+for bit: it sees the same events and adds the same costs in the same
+order.  aoi and qaoi lanes run threshold policies only.
 
 Masked numpy writes branch on every element, so flags select by
 multiplication instead.  Ages are compared as float64 copies, exact for
@@ -22,15 +25,15 @@ numpy only inside the functions that use it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .env import BLOCK, INITIAL_AOI, INITIAL_AOII, EnvSpec, TrajectoryStats, _substreams
-from .strategy import threshold_policy
+from .env import BLOCK, INITIAL_AOI, INITIAL_AOII, EnvSpec, Policy, TrajectoryStats, _substreams
+from .strategy import AoiiThresholdPolicy, GreedyPolicy, RandomPolicy, ThresholdPolicy, threshold_policy
 
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["threshold_rollouts"]
+__all__ = ["rollouts", "threshold_rollouts"]
 
 
 def _first_from(out, values, size, *flags):
@@ -141,22 +144,80 @@ def _age_lanes(lanes, size, gen, fresh, next_ok, asks, work, alpha, bn, zeta):
         lane[1:] = rx, _fold_costs(cost, energy, marks, alpha, bn, cost_sum), risky, sends
 
 
-def _mismatch_lanes(lanes, size, next_ok, back, leave, stay, work, alpha, bn, zeta):
-    """Step every AoiiThresholdPolicy(theta) lane ``[theta, age, cost_sum,
-    risky, sends]`` over one block of ``size`` slots, with Python work once
-    per loss of sync.
+def _age_threshold(policy, horizon: int) -> int:
+    """The threshold n of an aoi or qaoi lane, the one policy those lanes run."""
+    if not isinstance(policy, ThresholdPolicy):
+        raise ValueError(f"the block kernels cannot roll out {type(policy).__name__} on an aoi or qaoi spec")
+    # an age never passes the horizon, so a larger threshold is never reached
+    return min(policy.n, horizon + 1)
+
+
+class _MismatchSends(NamedTuple):
+    """Where an aoii lane sends.  ``at`` is a threshold theta, or a send bit
+    per mismatch age that ages past the last row read from that row.
+    ``synced`` is its bit at age 0, and ``runs`` the maximal runs [a, b),
+    1 <= a < b, of the other ages it sends at (b None: the run never ends).
+    With ``draws``, a ``(generator, send_prob)`` pair, the lane sends instead
+    in the slots whose uniform falls below send_prob, whatever its state; its
+    ``synced`` and ``runs`` then mark every age, as for theta = 0."""
+
+    synced: bool
+    runs: tuple[tuple[int, int | None], ...]
+    at: int | np.ndarray
+    draws: tuple[np.random.Generator, float] | None = None
+
+
+def _send_runs(bits) -> tuple[tuple[int, int | None], ...]:
+    """The maximal runs [a, b) of mismatch ages a >= 1 whose send bit is set;
+    a run through the last row, which every older age reads, never ends."""
+    import numpy as np
+
+    edges = (np.flatnonzero(np.diff(bits[1:], prepend=False, append=False)) + 1).tolist()
+    last = len(bits) - 1
+    return tuple((a, b if b <= last else None) for a, b in zip(edges[::2], edges[1::2]))
+
+
+def _mismatch_sends(policy, horizon: int) -> _MismatchSends:
+    """The lane of an aoii policy: a threshold, a greedy table or a random sender."""
+    if isinstance(policy, AoiiThresholdPolicy):
+        # an age never passes the horizon, so a larger threshold is never reached
+        theta = min(policy.theta, horizon + 1)
+        return _MismatchSends(theta == 0, ((max(theta, 1), None),), theta)
+    if isinstance(policy, RandomPolicy):
+        return _MismatchSends(True, ((1, None),), 0, (policy.rng, policy.send_prob))
+    if isinstance(policy, GreedyPolicy):
+        bits = policy.send_bits()
+        if bits.ndim != 1:
+            raise ValueError("a greedy aoii lane needs a table over mismatch ages, got an aoi table")
+        return _MismatchSends(bool(bits[0]), _send_runs(bits), bits)
+    raise ValueError(f"the block kernels cannot roll out {type(policy).__name__} on an aoii spec")
+
+
+def _mismatch_lanes(lanes, size, next_ok, back, leave, moves, fails, work, spare, alpha, bn, zeta):
+    """Step every aoii lane ``[sends, age, cost_sum, risky, send_count]``, its
+    ``sends`` a ``_MismatchSends``, over one block of ``size`` slots, with
+    Python work once per loss of sync.
 
     ``next_ok[s]``, ``back[s]`` and ``leave[s]`` are the first slot at or
     after s whose attempt would be delivered, in which the source returns to
     the receiver's value, and in which a synced source moves away, ``size``
-    where there is none.  A lane that leaves sync in slot L is at age
-    s - L + 1 after slot s, sends from slot L + max(theta, 1) on, and
-    resyncs at the first return or delivered attempt after L; its next
-    leave is the first move away after that.  So the lane hops from leave
-    to leave, and the ages, sends, risky steps and costs of the slots
-    between are then computed for the whole block at once.  At theta = 0 a
-    lane sends every slot, so it leaves sync only in a slot flagged in both
-    arrays of ``stay``: the source moves away and the attempt fails.
+    where there is none; ``moves`` and ``fails`` flag each slot's move away
+    and failed attempt.  A lane that leaves sync in slot L is at age
+    s - L + 1 after slot s and sends in slot s where s - L lies in one of
+    its runs [a, b).  It resyncs at the first return or delivered attempt
+    after L: the least of back[L + 1] and, for each run, next_ok[L + a]
+    where that is below L + b.  Its next leave is the first move away after
+    that; a lane that sends while synced leaves only in a slot where the
+    source moves away and the attempt fails.  So the lane hops from leave to
+    leave, and the ages, sends, risky steps and costs of the slots between
+    are then computed for the whole block at once.  A random lane sends at
+    every age over a channel that delivers only in the slots it sends in, so
+    it is the theta = 0 lane with next_ok and the failures of that channel.
+
+    ``spare`` is None for threshold lanes alone, else an int and two bool
+    arrays of ``BLOCK + 1`` entries.  A run that ends uses the first two as
+    scratch; a random lane keeps in them its delivered attempts' next_ok and
+    its failures, and in the third its sends.
     """
     import numpy as np
 
@@ -164,28 +225,61 @@ def _mismatch_lanes(lanes, size, next_ok, back, leave, stay, work, alpha, bn, ze
     hop, marks, before, steps = hop[:size], flag[:size], slots[:size], slots[1:]
     hops, marked = memoryview(hop), memoryview(marks)
 
-    def resync_slots(theta, out):
-        first = max(theta, 1)
+    def resync_slots(runs, ok, out):
         np.copyto(out, back[1:])
-        if first <= size:
-            np.minimum(out[: size + 1 - first], next_ok[first:], out=out[: size + 1 - first])
+        for a, b in runs:
+            if a > size:
+                break
+            width = size + 1 - a
+            found = ok[a:]
+            if b is not None and b <= size:
+                # an attempt delivered in slot found[L] resyncs only while
+                # its age found[L] - L is below b; otherwise take size
+                kept, inside = spare[0][:width], spare[1][:width]
+                np.subtract(found, slots[:width], out=kept)
+                np.less(kept, b, out=inside)
+                np.add(found, -size, out=kept)
+                np.multiply(kept, inside, out=kept)
+                np.add(kept, size, out=kept)
+                found = kept
+            np.minimum(out[:width], found, out=out[:width])
 
     for lane in lanes:
-        theta, age, cost_sum, risky, sends = lane
-        if theta == 0:
+        sends, age, cost_sum, risky, send_count = lane
+        ok, stay, sent = next_ok, (moves, fails), marks
+        if sends.draws is not None:
+            # each block's uniforms of the lane's own generator, drawn into
+            # the cost buffer as the block's were
+            rng, send_prob = sends.draws
+            ok, missed, sent = spare[0][: size + 1], spare[1][:size], spare[2][:size]
+            np.less(rng.random(size, out=cost[:size]), send_prob, out=sent)
+            # missed flags the delivered attempts first, then the rest
+            np.greater(sent, fails, out=missed)
+            _first_from(ok, before, size, missed)
+            np.logical_not(missed, out=missed)
+            stay = (moves, missed)
+        if sends.synced:
             _first_from(ages, before, size, *stay)
             leaves = ages
         else:
             leaves = leave
         # hop[L]: the next leave after one in slot L
-        resync_slots(theta, hop)
+        resync_slots(sends.runs, ok, hop)
         np.add(hop, 1, out=hop)
         _take(leaves, hop, hop)
-        # a lane carried in mismatched resyncs at the first return, or at the
-        # first delivered attempt once its age reaches theta; one carried in
-        # synced (resync = -1) starts from its first leave
+        # a lane carried in mismatched at age `age` is at age age + s before
+        # slot s, and resyncs at the first return or at the first delivered
+        # attempt of the first run that has one; one carried in synced
+        # (resync = -1) starts from its first leave
         if age:
-            resync = min(int(back[0]), int(next_ok[min(max(theta - age, 0), size)]))
+            resync = int(back[0])
+            for a, b in sends.runs:
+                if a - age >= size:
+                    break
+                found = int(ok[max(a - age, 0)])
+                if b is None or found < b - age:
+                    resync = min(resync, found)
+                    break
         else:
             resync = -1
         left = int(leaves[resync + 1]) if resync < size else size
@@ -199,7 +293,7 @@ def _mismatch_lanes(lanes, size, next_ok, back, leave, stay, work, alpha, bn, ze
         last, ends = hop, ages[:size]
         np.multiply(before, marks, out=last)
         np.maximum.accumulate(last, out=last)
-        resync_slots(theta, ends)
+        resync_slots(sends.runs, ok, ends)
         np.multiply(ends, marks, out=ends)
         np.maximum.accumulate(ends, out=ends)
         # ends becomes 1 while mismatched and 0 once synced, and last the
@@ -218,9 +312,16 @@ def _mismatch_lanes(lanes, size, next_ok, back, leave, stay, work, alpha, bn, ze
         np.copyto(cost[1:], last)
         cost[0] = age
         risky += int(np.count_nonzero(cost[1:] >= zeta))
-        sends += int(np.count_nonzero(np.greater_equal(cost[:size], theta, out=marks)))
+        if sends.draws is None:
+            if isinstance(sends.at, int):
+                np.greater_equal(cost[:size], sends.at, out=marks)
+            else:
+                # a table lane sends where the age before the slot has its bit set
+                marks[0] = sends.at[min(age, len(sends.at) - 1)]
+                _take(sends.at, last[: size - 1], marks[1:])
+        send_count += int(np.count_nonzero(sent))
         age = int(cost[size])
-        lane[1:] = age, _fold_costs(cost, energy, marks, alpha, bn, cost_sum), risky, sends
+        lane[1:] = age, _fold_costs(cost, energy, sent, alpha, bn, cost_sum), risky, send_count
 
 
 def _index_dtype(horizon: int) -> type:
@@ -231,14 +332,19 @@ def _index_dtype(horizon: int) -> type:
     return np.int32 if horizon < 2**30 else np.int64
 
 
-def threshold_rollouts(
-    spec: EnvSpec, seed: int | np.random.SeedSequence, thresholds: Sequence[int], horizon: int
+def rollouts(
+    spec: EnvSpec, seed: int | np.random.SeedSequence, policies: Sequence[Policy], horizon: int
 ) -> list[TrajectoryStats]:
-    """Roll out one threshold policy per entry of ``thresholds`` on the events of ``seed``.
+    """Roll out each of ``policies`` on the events of ``seed``.
 
-    Entry i equals ``run_policy`` of ``threshold_policy(spec.metric,
-    thresholds[i])`` on ``spec.build(seed)``, bit for bit, but no env is
-    built.  Each lane carries its state, cost sum and counts across blocks.
+    A policy is a threshold policy of ``spec.metric`` or, for aoii, also a
+    ``GreedyPolicy`` over an aoii table or a ``RandomPolicy``.  Entry i
+    equals ``run_policy(spec.build(seed), policies[i], horizon)`` bit for
+    bit, but no env is built.  A greedy lane reads the table's send bits
+    once, when the call starts.  A random lane draws from the policy's own
+    generator a block at a time, the values its ``decide`` would read, so
+    that policy is spent: roll it out here or through ``run_policy``, not
+    both.  Each lane carries its state, cost sum and counts across blocks.
     Every array is allocated once, at ``BLOCK`` entries, so memory does not
     grow with the horizon.
     """
@@ -246,15 +352,16 @@ def threshold_rollouts(
 
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    for value in thresholds:
-        threshold_policy(spec.metric, value)  # refuses what the policy refuses
     aoii = spec.metric == "aoii"
+    if aoii:
+        rules = [_mismatch_sends(policy, horizon) for policy in policies]
+    else:
+        rules = [_age_threshold(policy, horizon) for policy in policies]
     params = spec.params
     alpha, bn = params.alpha, params.beta * params.nu
     arrival_rng, channel_rng, query_rng, source_rng = _substreams(seed)
-    # an age never passes the horizon, so a larger threshold is never reached
     initial = INITIAL_AOII[1] if aoii else INITIAL_AOI[1]
-    lanes = [[min(value, horizon + 1), initial, 0.0, 0, 0] for value in thresholds]
+    lanes = [[rule, initial, 0.0, 0, 0] for rule in rules]
     itype = _index_dtype(horizon)
     slots = np.arange(BLOCK + 1, dtype=itype)
     next_ok, first, second = (np.empty(BLOCK + 1, itype) for _ in range(3))
@@ -265,6 +372,10 @@ def threshold_rollouts(
     flag = np.empty(BLOCK + 1, bool)
     cost = np.empty(BLOCK + 1)
     work = (slots, hop, buffer, flag, cost, energy)
+    # threshold lanes need no more; table and random lanes share three arrays
+    spare = None
+    if aoii and not all(isinstance(policy, AoiiThresholdPolicy) for policy in policies):
+        spare = (np.empty(BLOCK + 1, itype), np.empty(BLOCK + 1, bool), np.empty(BLOCK + 1, bool))
     zeta = spec.risk.zeta_aoii if aoii else spec.risk.zeta
     tx = INITIAL_AOI[0]
     for start in range(0, horizon, BLOCK):
@@ -281,8 +392,7 @@ def threshold_rollouts(
             _first_from(late, slots[:size], size, moves)
             np.less(draw, spec.source.p_c, out=oks)
             _first_from(early, slots[:size], size, oks)
-            stay = (moves, fails)
-            _mismatch_lanes(lanes, size, ok, early, late, stay, work, alpha, bn, zeta)
+            _mismatch_lanes(lanes, size, ok, early, late, moves, fails, work, spare, alpha, bn, zeta)
         else:
             # gen[s]: the slot the sender's packet before slot s was generated
             # in; an arrival in slot a brings a packet of slot a + 1
@@ -309,3 +419,11 @@ def threshold_rollouts(
         )
         for _, _, cost_sum, risky, sends in lanes
     ]
+
+
+def threshold_rollouts(
+    spec: EnvSpec, seed: int | np.random.SeedSequence, thresholds: Sequence[int], horizon: int
+) -> list[TrajectoryStats]:
+    """``rollouts`` of ``threshold_policy(spec.metric, value)`` for each of
+    ``thresholds``; a value the policy refuses is refused before any draw."""
+    return rollouts(spec, seed, [threshold_policy(spec.metric, value) for value in thresholds], horizon)

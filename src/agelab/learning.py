@@ -9,6 +9,7 @@ recovers the plain learner exactly, bit for bit under a shared seed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -99,12 +100,13 @@ class QTable:
                     write(f"{synced},{age},{WAIT},{wait!r}\r\n{synced},{age},{SEND},{send!r}\r\n")
             else:
                 write("aoi_tx,aoi_rx,action,q_value\r\n")
+                # a sender age's rows are "rx,action," and the value, joined
+                # with the line break and the next row's sender age
+                prefixes = [f"{rx},{action}," for rx in range(1, self.a_max + 1) for action in (WAIT, SEND)]
                 for tx in range(self.a_max + 1):
-                    pairs = self.values[tx].tolist()
-                    write("".join(
-                        f"{tx},{rx},{WAIT},{wait!r}\r\n{tx},{rx},{SEND},{send!r}\r\n"
-                        for rx, (wait, send) in enumerate(pairs[1:], start=1)
-                    ))
+                    row = self.values[tx, 1:].reshape(-1).tolist()
+                    lines = f"\r\n{tx},".join(map(operator.add, prefixes, map(repr, row)))
+                    write(f"{tx},{lines}\r\n")
 
 
 @dataclass(frozen=True)

@@ -61,13 +61,15 @@ class RandomPolicy:
     The caller supplies the generator, so seeded comparisons stay
     reproducible and no hidden global state is involved.  The policy reads
     it a block at a time: each decision uses the value one ``rng.random()``
-    call would give, but the generator is left a block ahead.
+    call would give, but the generator is left a block ahead.  A kernel
+    lane (``kernels.rollouts``) draws the same values from ``rng`` itself.
     """
 
     def __init__(self, send_prob: float, rng: np.random.Generator) -> None:
         if not 0.0 <= send_prob <= 1.0:
             raise ValueError(f"send_prob must be in [0, 1], got {send_prob}")
         self.send_prob = send_prob
+        self.rng = rng
         self._uniform = uniform_stream(rng)
 
     def decide(self, state) -> int:
@@ -79,13 +81,21 @@ class GreedyPolicy:
 
     The policy reads the ``values`` array the table holds when the policy is
     built, in place through a flat view, so later updates to its entries
-    show in the decisions.
+    show in the decisions.  A kernel lane (``kernels.rollouts``) reads
+    ``send_bits()`` once, when its rollout starts, so it rolls out the table
+    frozen as it was then.
     """
 
     def __init__(self, table) -> None:
         self._slot = table.wait_slot()
+        self._values = table.values
         view = memoryview(table.values)
         self._flat = view.cast("B").cast(view.format)
+
+    def send_bits(self) -> np.ndarray:
+        """Whether each cell of the table sends now, in the table's cell
+        layout: its send entry is below its wait entry; ties wait."""
+        return self._values[..., SEND] < self._values[..., WAIT]
 
     def decide(self, state) -> int:
         """Pick the action with the lower estimated cost; ties wait to save energy."""

@@ -6,9 +6,10 @@ the kernels here match the transition tables written out by hand.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from agelab import (
     AoiEnv,
@@ -33,8 +34,9 @@ from agelab.env import (
     aoii_transition,
     uniform_stream,
 )
-from agelab.kernels import threshold_rollouts
-from agelab.strategy import AoiiThresholdPolicy, RandomPolicy, ThresholdPolicy
+from agelab.kernels import rollouts, threshold_rollouts
+from agelab.learning import QTable
+from agelab.strategy import AoiiThresholdPolicy, GreedyPolicy, RandomPolicy, ThresholdPolicy
 
 import numpy as np
 
@@ -344,6 +346,103 @@ def test_threshold_rollouts_equal_run_policy(spec, horizon, thresholds, seed):
     if spec.metric == "aoii":
         thresholds = [n - 1 for n in thresholds]  # theta = 0 always sends
     assert_lanes_equal_run_policy(spec, seed, thresholds, horizon)
+
+
+# An aoii lane also runs a greedy table or a random sender.  A failing
+# example replays up to 2 * BLOCK + 5 steps per lane through run_policy, so
+# shrinking it would take minutes; the first failure is reported instead.
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
+
+
+@st.composite
+def mismatch_tables(draw):
+    """aoii tables with a_max 2-40 whose entries take three values, so the
+    send bits have ties (which wait), holes and any bit at the synced row."""
+    a_max = draw(st.integers(min_value=2, max_value=40))
+    entries = st.sampled_from([0.0, 1.0, 2.0])
+    cells = draw(st.lists(entries, min_size=2 * (a_max + 1), max_size=2 * (a_max + 1)))
+    return QTable("aoii", a_max, np.array(cells).reshape(a_max + 1, 2))
+
+
+def mismatch_policies(tables, send_probs, thetas, seed):
+    """Greedy readers, random senders on their own streams and thresholds,
+    built afresh for each rollout."""
+    return [
+        *(GreedyPolicy(table) for table in tables),
+        *(RandomPolicy(prob, np.random.default_rng([seed, k])) for k, prob in enumerate(send_probs)),
+        *(AoiiThresholdPolicy(theta) for theta in thetas),
+    ]
+
+
+def assert_mismatch_lanes_equal_run_policy(spec, seed, tables, send_probs, thetas, horizon):
+    lanes = rollouts(spec, seed, mismatch_policies(tables, send_probs, thetas, seed), horizon)
+    policies = mismatch_policies(tables, send_probs, thetas, seed)
+    for k, (lane, policy) in enumerate(zip(lanes, policies, strict=True)):
+        expected = run_policy(spec.build(seed), policy, horizon)
+        assert (lane, repr(lane)) == (expected, repr(expected)), (k, type(policy).__name__)
+
+
+@settings(deadline=None, max_examples=40, phases=NO_SHRINK)
+@given(
+    spec=env_specs().map(lambda spec: replace(spec, metric="aoii")),
+    tables=st.lists(mismatch_tables(), min_size=1, max_size=3),
+    send_probs=st.lists(gate, min_size=1, max_size=2),
+    theta=st.integers(min_value=0, max_value=8),
+    horizon=st.sampled_from([1, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 5]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_greedy_and_random_lanes_equal_run_policy(spec, tables, send_probs, theta, horizon, seed):
+    """Greedy tables (ages past a_max read its last row) and random senders
+    at send_prob 0, 1 and between, in one call with a threshold lane."""
+    assert_mismatch_lanes_equal_run_policy(spec, seed, tables, send_probs, [theta], horizon)
+
+
+def edge_tables():
+    """A table that sends at ages 2-3 and from 6 on, one that sends at ages
+    0-1 and 4, and one that never sends (a_max = 6)."""
+    holes, synced = np.zeros((7, 2)), np.zeros((7, 2))
+    holes[[2, 3, 6], SEND] = -1.0
+    synced[[0, 1, 4], SEND] = -1.0
+    return [QTable("aoii", 6, values) for values in (holes, synced, np.zeros((7, 2)))]
+
+
+@pytest.mark.parametrize(
+    "params, source",
+    [
+        (SystemParams(p=0.3), SourceSpec(p_r=0.0)),
+        (SystemParams(p=0.3), SourceSpec(p_r=1.0)),
+        (SystemParams(p=1.0), SourceSpec()),
+        # a source that leaves sync at once and seldom comes back over a
+        # channel that seldom delivers: ages run on across blocks
+        (SystemParams(p=1e-4), SourceSpec(num_states=50_001, p_r=0.5)),
+    ],
+    ids=["p_r=0", "p_r=1", "p=1", "slow"],
+)
+def test_greedy_and_random_lanes_at_the_edges(params, source):
+    spec = EnvSpec("aoii", params, source=source)
+    assert_mismatch_lanes_equal_run_policy(spec, 5, edge_tables(), [0.0, 0.4, 1.0], [0, 2], 3 * BLOCK + 5)
+
+
+@pytest.mark.parametrize("p_r", [0.0, 0.5, 0.9])
+def test_greedy_and_random_lanes_carry_their_state_across_short_blocks(monkeypatch, p_r):
+    """With blocks of 7 slots, most mismatches straddle a block boundary, so
+    a lane often starts a block mid-run, between runs or past a_max.  The
+    kernels draw each block's uniforms with one call per substream, which
+    gives the values of one longer call, so the lanes still equal run_policy."""
+    monkeypatch.setattr(kernels, "BLOCK", 7)
+    spec = EnvSpec("aoii", SystemParams(p=0.4), source=SourceSpec(p_r=p_r))
+    for seed in range(4):
+        assert_mismatch_lanes_equal_run_policy(spec, seed, edge_tables(), [0.4, 1.0], [0, 3], 1_000)
+
+
+def test_rollouts_refuse_what_no_lane_runs():
+    table = QTable("aoii", 4, np.zeros((5, 2)))
+    with pytest.raises(ValueError, match="^the block kernels cannot roll out GreedyPolicy on an aoi or qaoi spec$"):
+        rollouts(EnvSpec("aoi"), 0, [GreedyPolicy(table)], 10)
+    with pytest.raises(ValueError, match="^the block kernels cannot roll out ThresholdPolicy on an aoii spec$"):
+        rollouts(EnvSpec("aoii"), 0, [ThresholdPolicy(2)], 10)
+    with pytest.raises(ValueError, match="^a greedy aoii lane needs a table over mismatch ages"):
+        rollouts(EnvSpec("aoii"), 0, [GreedyPolicy(QTable("aoi", 4, np.zeros((5, 5, 2))))], 10)
 
 
 # Edge cases of the block kernels: each lane jumps from one delivery (aoii:

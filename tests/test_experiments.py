@@ -21,7 +21,7 @@ from agelab import (
     run_policy,
     threshold_sweep,
 )
-from agelab import kernels
+from agelab import experiments, kernels
 from agelab.cli import main
 from agelab.experiments import (
     CSV_COLUMNS,
@@ -297,12 +297,26 @@ def test_learning_comparison_mismatch_adds_always_send():
     assert comparison["always_send"].mean_send_rate == 1.0
 
 
+def count_calls(monkeypatch, owner, name):
+    """A list that grows by one at each call of ``owner.name``."""
+    calls = []
+    plain = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def test_mismatch_baselines_come_from_the_threshold_sweep(monkeypatch):
     """Without a configured theta the aoii baselines are read off the sweep
     that picks theta, which ran on the same evaluation seeds; they equal
     fresh evaluations, and no rollout is spent on them twice.  The sweep
-    rolls its thresholds out together and the learners advance the chain
-    themselves, so only the greedy/random rollouts step an env."""
+    rolls its thresholds out together, the learners advance the chain
+    themselves, and the greedy and random strategies are kernel lanes, so
+    no env is stepped."""
     config = ExperimentConfig(
         env=EnvSpec("aoii"),
         learning=LearningParams(steps=500, a_max=32),
@@ -310,22 +324,54 @@ def test_mismatch_baselines_come_from_the_threshold_sweep(monkeypatch):
         runs=2,
         base_seed=7,
     )
-    steps = 0
-    plain_step = AoiiEnv.step
-
-    def counted_step(self, action):
-        nonlocal steps
-        steps += 1
-        return plain_step(self, action)
-
-    monkeypatch.setattr(AoiiEnv, "step", counted_step)
+    steps = count_calls(monkeypatch, AoiiEnv, "step")
     comparison = learning_comparison(config)
-    # three greedy/random rollouts per run
-    assert steps == 2 * 3 * 400
+    assert len(steps) == 0
     monkeypatch.undo()
     for name, theta in (("threshold", comparison.threshold), ("always_send", 0)):
         direct = evaluate(AoiiThresholdPolicy(theta), config)
         assert comparison[name] == direct
+
+
+def test_mismatch_comparison_with_a_theta_steps_no_env(monkeypatch):
+    """With theta configured there is no sweep: all five strategies are
+    lanes of one kernel call per run, and each equals its evaluate."""
+    config = ExperimentConfig(
+        env=EnvSpec("aoii"),
+        learning=LearningParams(steps=500, a_max=32),
+        threshold=2,
+        test_steps=400,
+        runs=2,
+        base_seed=7,
+    )
+    steps = count_calls(monkeypatch, AoiiEnv, "step")
+    rollouts = count_calls(monkeypatch, experiments, "run_policy")
+    comparison = learning_comparison(config)
+    assert (len(steps), len(rollouts)) == (0, 0)
+    monkeypatch.undo()
+    spec = config.env
+    # run i's policy, training and exploration seeds: children i of the base
+    # seed's second, third and fourth children
+    _, policy_ns, train_ns, explore_ns = np.random.SeedSequence(config.base_seed).spawn(4)
+    policy_seeds, train_seeds, explore_seeds = (ns.spawn(config.runs) for ns in (policy_ns, train_ns, explore_ns))
+
+    def learner(params):
+        def trained(i):
+            return GreedyPolicy(train(spec.build(train_seeds[i]), params, explore_seeds[i]).table)
+
+        return trained
+
+    expected = {
+        "random": lambda i: RandomPolicy(spec.params.lam, np.random.default_rng(policy_seeds[i])),
+        "threshold": AoiiThresholdPolicy(2),
+        "qlearn": learner(replace(config.learning, rho=1.0)),
+        "qlearn_risk": learner(config.learning),
+        "always_send": AoiiThresholdPolicy(0),
+    }
+    assert comparison.threshold == 2
+    assert list(comparison) == list(expected)
+    for name, policy in expected.items():
+        assert comparison[name] == evaluate(policy, config), name
 
 
 def test_learning_comparison_takes_rho_from_the_learning_parameters():

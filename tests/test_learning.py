@@ -10,7 +10,7 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from agelab import (
     AoiEnv,
@@ -331,7 +331,9 @@ def aoii_specs(draw):
     )
 
 
-@settings(deadline=None, max_examples=40)
+# A failing example replays up to 2 * BLOCK + 5 steps through both loops, so
+# shrinking it would take minutes; the first failure is reported instead.
+@settings(deadline=None, max_examples=40, phases=tuple(phase for phase in Phase if phase is not Phase.shrink))
 @given(
     spec=aoii_specs(),
     rho=st.sampled_from([0.0, 1.0, 2.5]),
