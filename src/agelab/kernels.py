@@ -186,7 +186,7 @@ def _mismatch_sends(policy, horizon: int) -> _MismatchSends:
     if isinstance(policy, RandomPolicy):
         return _MismatchSends(True, ((1, None),), 0, (policy.rng, policy.send_prob))
     if isinstance(policy, GreedyPolicy):
-        bits = policy.send_bits()
+        bits = policy.sends
         if bits.ndim != 1:
             raise ValueError("a greedy aoii lane needs a table over mismatch ages, got an aoi table")
         return _MismatchSends(bool(bits[0]), _send_runs(bits), bits)
@@ -340,13 +340,13 @@ def rollouts(
     A policy is a threshold policy of ``spec.metric`` or, for aoii, also a
     ``GreedyPolicy`` over an aoii table or a ``RandomPolicy``.  Entry i
     equals ``run_policy(spec.build(seed), policies[i], horizon)`` bit for
-    bit, but no env is built.  A greedy lane reads the table's send bits
-    once, when the call starts.  A random lane draws from the policy's own
-    generator a block at a time, the values its ``decide`` would read, so
-    that policy is spent: roll it out here or through ``run_policy``, not
-    both.  Each lane carries its state, cost sum and counts across blocks.
-    Every array is allocated once, at ``BLOCK`` entries, so memory does not
-    grow with the horizon.
+    bit, but no env is built.  A greedy lane reads the policy's ``sends``,
+    fixed when the policy was built, as its ``decide`` does.  A random lane
+    draws from the policy's own generator a block at a time, the values its
+    ``decide`` would read, so that policy is spent: roll it out here or
+    through ``run_policy``, not both.  Each lane carries its state, cost
+    sum and counts across blocks.  Every array is allocated once, at
+    ``BLOCK`` entries, so memory does not grow with the horizon.
     """
     import numpy as np
 

@@ -12,7 +12,7 @@ import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .env import INITIAL_AOII, SEND, WAIT, AoiEnv, AoiiEnv, _seed_sequence, uniform_stream
 
@@ -49,43 +49,19 @@ def _table_shape(metric: str, a_max: int) -> tuple[int, ...]:
     return (a_max + 1, a_max + 1, 2)
 
 
-def _wait_slot(metric: str, a_max: int) -> Callable[[tuple], int]:
-    """Map a state to the position of its clamped cell's wait entry in the
-    flattened (C-order) table; the send entry follows it."""
-    if metric == "aoii":
-
-        def slot(state: tuple[bool, int]) -> int:
-            age = state[1]
-            return 2 * (age if age < a_max else a_max)
-
-    else:
-        width = a_max + 1
-
-        def slot(state: tuple[int, int]) -> int:
-            tx, rx = state
-            return 2 * ((tx if tx < a_max else a_max) * width + (rx if rx < a_max else a_max))
-
-    return slot
-
-
 @dataclass
 class QTable:
     """Estimated action costs over the clamped state grid.
 
     For the age metrics the grid covers sender ages 0..a_max and receiver
     ages 1..a_max; for the mismatch metric it covers mismatch ages
-    0..a_max, where age zero is the synced state.  States beyond the grid
-    are clamped to the boundary on lookup.
+    0..a_max, where age zero is the synced state.  ``GreedyPolicy`` reads
+    states beyond the grid at the boundary cell.
     """
 
     metric: str
     a_max: int
     values: np.ndarray
-
-    def wait_slot(self) -> Callable[[tuple], int]:
-        """A function from a state to the position of its cell's wait entry
-        in ``values.reshape(-1)``; the send entry follows it."""
-        return _wait_slot(self.metric, self.a_max)
 
     def dump_csv(self, path: str | Path) -> None:
         """Write every grid entry as a CSV row; floats use repr so parsing them back is exact."""
@@ -201,8 +177,10 @@ def train(
     delta = params.delta
     epsilon_min = params.epsilon_min
     aoii = metric == "aoii"
-    # A state's wait entry sits at 2 * cell, the cell laid out as in
-    # _wait_slot; it is computed inline here, once per step.
+    # A state's wait entry sits at 2 * cell and its send entry at
+    # 2 * cell + 1.  The cell is clamped tx * (a_max + 1) + clamped rx for
+    # aoi and qaoi, and the clamped mismatch age for aoii, each age clamped
+    # at a_max; it is computed inline here, once per step.
     if aoii:
         # AoiiEnv.step's chain and step_cost's arithmetic, with the synced
         # cost (age 0) per action and beta * nu computed once

@@ -77,28 +77,34 @@ class RandomPolicy:
 
 
 class GreedyPolicy:
-    """Read actions out of a learned value table, clamping unseen states.
+    """Act on a learned value table: send where a cell's send entry costs
+    less than its wait entry; ties wait to save energy.
 
-    The policy reads the ``values`` array the table holds when the policy is
-    built, in place through a flat view, so later updates to its entries
-    show in the decisions.  A kernel lane (``kernels.rollouts``) reads
-    ``send_bits()`` once, when its rollout starts, so it rolls out the table
-    frozen as it was then.
+    ``sends`` holds that choice for every cell, in the table's cell layout.
+    It is computed once, when the policy is built, so later edits to the
+    table do not show in the policy.  ``decide`` reads it with every age
+    past ``a_max`` clamped to ``a_max``; a kernel lane (``kernels.rollouts``)
+    reads the same array.
     """
 
     def __init__(self, table) -> None:
-        self._slot = table.wait_slot()
-        self._values = table.values
-        view = memoryview(table.values)
-        self._flat = view.cast("B").cast(view.format)
-
-    def send_bits(self) -> np.ndarray:
-        """Whether each cell of the table sends now, in the table's cell
-        layout: its send entry is below its wait entry; ties wait."""
-        return self._values[..., SEND] < self._values[..., WAIT]
+        values = table.values
+        self._a_max = table.a_max
+        self.sends = values[..., SEND] < values[..., WAIT]
+        self.sends.flags.writeable = False
+        # the same bits as bytes, one row per sender age (aoi, qaoi) or one
+        # row over mismatch ages (aoii): the cheapest lookup in Python
+        if self.sends.ndim == 1:
+            self._row, self._rows = self.sends.tobytes(), None
+        else:
+            self._row, self._rows = None, [row.tobytes() for row in self.sends]
 
     def decide(self, state) -> int:
-        """Pick the action with the lower estimated cost; ties wait to save energy."""
-        flat = self._flat
-        slot = self._slot(state)
-        return SEND if flat[slot + 1] < flat[slot] else WAIT
+        """SEND where the state's cell sends: row tx and column rx of a
+        ``(tx, rx)`` state, or the mismatch age of a ``(synced, age)`` one."""
+        a_max = self._a_max
+        first, age = state
+        row = self._row
+        if row is None:
+            row = self._rows[first if first < a_max else a_max]
+        return SEND if row[age if age < a_max else a_max] else WAIT

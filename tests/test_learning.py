@@ -122,34 +122,41 @@ def test_qtable_shapes():
 
 
 def test_qtable_index_clamps():
-    """A state's slot in the flattened table is its cell's; ages beyond
-    a_max read the boundary cell."""
+    """A greedy policy reads a state at its cell; ages beyond a_max read the
+    boundary cell."""
     table = zero_table("aoi", 4)
     table.values[2, 3, WAIT] = 1.0
-    table.values[4, 4, SEND] = 9.0
-    flat = table.values.reshape(-1)
-    slot = table.wait_slot()
-    assert flat[slot((2, 3))] == 1.0
-    assert flat[slot((9, 30)) + 1] == 9.0
-    assert slot((4, 9)) == slot((4, 4))
+    table.values[4, 4, WAIT] = 9.0
+    policy = GreedyPolicy(table)
+    assert policy.decide((2, 3)) == SEND
+    assert (policy.decide((2, 4)), policy.decide((3, 3))) == (WAIT, WAIT)
+    assert policy.decide((9, 30)) == SEND
+    assert policy.decide((4, 9)) == policy.decide((4, 4)) == SEND
+    assert policy.decide((3, 9)) == WAIT
     aoii = zero_table("aoii", 4)
-    aoii.values[4, SEND] = 3.0
-    flat = aoii.values.reshape(-1)
-    assert flat[aoii.wait_slot()((False, 7)) + 1] == 3.0
+    aoii.values[4, WAIT] = 3.0
+    policy = GreedyPolicy(aoii)
+    assert (policy.decide((False, 7)), policy.decide((False, 4))) == (SEND, SEND)
+    assert policy.decide((False, 3)) == WAIT
 
 
 def test_qtable_action_values():
-    """A state's slot holds its wait value and the next one its send value."""
+    """A cell's last axis holds its wait value at WAIT and its send value at
+    SEND: the cheaper one is the action."""
     table = zero_table("aoi", 4)
     table.values[1, 2, WAIT] = 5.0
     table.values[1, 2, SEND] = 7.0
-    flat = table.values.reshape(-1)
-    slot = table.wait_slot()
-    assert (flat[slot((1, 2))], flat[slot((1, 2)) + 1]) == (5.0, 7.0)
+    table.values[1, 3, WAIT] = 7.0
+    table.values[1, 3, SEND] = 5.0
+    policy = GreedyPolicy(table)
+    assert (policy.decide((1, 2)), policy.decide((1, 3))) == (WAIT, SEND)
+    assert (policy.sends[1, 2], policy.sends[1, 3]) == (False, True)
     aoii = zero_table("aoii", 4)
     aoii.values[0, WAIT] = 2.0
-    flat = aoii.values.reshape(-1)
-    assert flat[aoii.wait_slot()((True, 0))] == 2.0
+    aoii.values[1, SEND] = 2.0
+    policy = GreedyPolicy(aoii)
+    assert (policy.decide((True, 0)), policy.decide((False, 1))) == (SEND, WAIT)
+    assert (policy.sends[0], policy.sends[1]) == (True, False)
 
 
 @pytest.mark.parametrize("metric", ["aoi", "aoii"])

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from agelab.env import SEND, WAIT
+from agelab.env import SEND, WAIT, EnvSpec
+from agelab.kernels import rollouts
 from agelab.learning import QTable
 from agelab.strategy import (
     AoiiThresholdPolicy,
@@ -64,16 +65,12 @@ def test_random_policy_extremes():
 
 
 def test_greedy_policy_prefers_lower_cost_and_ties_wait():
-    table = QTable("aoi", 8, np.zeros((9, 9, 2)))
-    policy = GreedyPolicy(table)
     state = (1, 4)
-    table.values[1, 4, WAIT] = 2.0
-    table.values[1, 4, SEND] = 1.0
-    assert policy.decide(state) == SEND
-    table.values[1, 4, SEND] = 2.0
-    assert policy.decide(state) == WAIT
-    table.values[1, 4, SEND] = 3.0
-    assert policy.decide(state) == WAIT
+    for send_value, action in [(1.0, SEND), (2.0, WAIT), (3.0, WAIT)]:
+        table = QTable("aoi", 8, np.zeros((9, 9, 2)))
+        table.values[1, 4, WAIT] = 2.0
+        table.values[1, 4, SEND] = send_value
+        assert GreedyPolicy(table).decide(state) == action
 
 
 def test_greedy_policy_clamps_unseen_states():
@@ -91,3 +88,43 @@ def test_greedy_policy_reads_aoii_tables():
     policy = GreedyPolicy(table)
     assert policy.decide((False, 3)) == SEND
     assert policy.decide((False, 2)) == WAIT
+
+
+def test_greedy_policy_is_fixed_when_built():
+    """Edits to the table after the policy is built change neither its
+    decisions nor its kernel lane; a policy built after the edit sees it."""
+    spec = EnvSpec("aoii")
+    table = QTable("aoii", 6, np.zeros((7, 2)))
+    table.values[2:, SEND] = -1.0
+    policy = GreedyPolicy(table)
+    states = [(age == 0, age) for age in range(10)]
+    decisions = [policy.decide(state) for state in states]
+    lane = rollouts(spec, 3, [policy], 500)
+    table.values[..., SEND] = 1.0
+    table.values[0, SEND] = -1.0
+    assert [policy.decide(state) for state in states] == decisions
+    assert rollouts(spec, 3, [policy], 500) == lane
+    edited = GreedyPolicy(table)
+    assert [edited.decide(state) for state in states] == [SEND] + [WAIT] * 9
+    assert rollouts(spec, 3, [edited], 500) != lane
+
+
+@pytest.mark.parametrize("metric", ["aoi", "aoii"])
+@pytest.mark.parametrize("a_max", [2, 3, 5])
+def test_greedy_decide_reads_sends_at_the_clamped_cell(metric, a_max):
+    """Over every age up to a_max + 3, a decision is the send bit of the
+    clamped cell, which is set exactly where send costs less than wait."""
+    rng = np.random.default_rng(a_max)
+    cells = (a_max + 1,) if metric == "aoii" else (a_max + 1, a_max + 1)
+    # three entry values, so about a third of the cells tie
+    table = QTable(metric, a_max, rng.integers(0, 3, cells + (2,)).astype(float))
+    policy = GreedyPolicy(table)
+    assert np.array_equal(policy.sends, table.values[..., SEND] < table.values[..., WAIT])
+    ages = range(a_max + 4)
+    for first in [0] if metric == "aoii" else ages:
+        for age in ages:
+            if metric == "aoii":
+                state, cell = (age == 0, age), min(age, a_max)
+            else:
+                state, cell = (first, age), (min(first, a_max), min(age, a_max))
+            assert policy.decide(state) == (SEND if policy.sends[cell] else WAIT)
